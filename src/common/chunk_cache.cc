@@ -7,16 +7,27 @@ namespace backsort {
 
 namespace {
 
-/// Chunk keys are 'c' + file + '\0' + sensor; footer keys are 'f' + file.
-/// The leading tag keeps the two namespaces disjoint even for odd sensor
-/// ids, and the embedded file name lets InvalidateFile match by prefix.
-std::string ChunkKey(const std::string& file, const std::string& sensor) {
+/// Keys are a one-byte tag + file, then for page indexes ('i') '\0' +
+/// sensor, and for pages ('p') also '\0' + the page number's raw bytes;
+/// footers ('f') stop after the file. The tag keeps the namespaces
+/// disjoint, and no sensor name collides across them because the NUL
+/// separator cannot appear inside a file path.
+std::string SensorKey(char tag, const std::string& file,
+                      const std::string& sensor) {
   std::string key;
-  key.reserve(1 + file.size() + 1 + sensor.size());
-  key += 'c';
+  key.reserve(1 + file.size() + 1 + sensor.size() + 1 + sizeof(size_t));
+  key += tag;
   key += file;
   key += '\0';
   key += sensor;
+  return key;
+}
+
+std::string PageKey(const std::string& file, const std::string& sensor,
+                    size_t page) {
+  std::string key = SensorKey('p', file, sensor);
+  key += '\0';
+  key.append(reinterpret_cast<const char*>(&page), sizeof(page));
   return key;
 }
 
@@ -74,23 +85,40 @@ void ChunkCache::Insert(const std::string& file, std::string key,
   }
 }
 
-std::shared_ptr<const CachedChunk> ChunkCache::GetChunk(
-    const std::string& file, const std::string& sensor) {
+std::shared_ptr<const void> ChunkCache::CountedLookup(const std::string& file,
+                                                      const std::string& key) {
   if (!enabled()) return nullptr;
-  auto value = Lookup(file, ChunkKey(file, sensor));
-  if (value == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return std::static_pointer_cast<const CachedChunk>(value);
+  auto value = Lookup(file, key);
+  (value == nullptr ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+  return value;
 }
 
-void ChunkCache::PutChunk(const std::string& file, const std::string& sensor,
-                          std::shared_ptr<const CachedChunk> chunk) {
-  if (!enabled() || chunk == nullptr) return;
-  const size_t bytes = chunk->ApproxBytes();
-  Insert(file, ChunkKey(file, sensor), std::move(chunk), bytes);
+std::shared_ptr<const ChunkPageIndex> ChunkCache::GetPageIndex(
+    const std::string& file, const std::string& sensor) {
+  return std::static_pointer_cast<const ChunkPageIndex>(
+      CountedLookup(file, SensorKey('i', file, sensor)));
+}
+
+void ChunkCache::PutPageIndex(const std::string& file,
+                              const std::string& sensor,
+                              std::shared_ptr<const ChunkPageIndex> index) {
+  if (!enabled() || index == nullptr) return;
+  const size_t bytes = index->MemoryBytes();
+  Insert(file, SensorKey('i', file, sensor), std::move(index), bytes);
+}
+
+std::shared_ptr<const DecodedPage> ChunkCache::GetPage(
+    const std::string& file, const std::string& sensor, size_t page) {
+  return std::static_pointer_cast<const DecodedPage>(
+      CountedLookup(file, PageKey(file, sensor, page)));
+}
+
+void ChunkCache::PutPage(const std::string& file, const std::string& sensor,
+                         size_t page,
+                         std::shared_ptr<const DecodedPage> decoded) {
+  if (!enabled() || decoded == nullptr) return;
+  const size_t bytes = decoded->ApproxBytes();
+  Insert(file, PageKey(file, sensor, page), std::move(decoded), bytes);
 }
 
 std::shared_ptr<const FooterIndex> ChunkCache::GetFooter(

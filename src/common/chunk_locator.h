@@ -54,6 +54,45 @@ struct ChunkLocator {
   }
 };
 
+/// One page of a sealed chunk as its page header describes it: point
+/// count, time span, value statistics (NaN-excluded, like the footer's;
+/// int64 chunks store them as doubles), and where its encoded time and
+/// value buffers sit in the file.
+struct PageLocator {
+  uint64_t count = 0;
+  Timestamp min_t = 0;
+  Timestamp max_t = -1;
+  double min_v = 0;
+  double max_v = 0;
+  double sum_v = 0;
+  /// Absolute file offsets and byte lengths of the two encoded buffers.
+  uint64_t time_offset = 0;
+  uint64_t time_size = 0;
+  uint64_t value_offset = 0;
+  uint64_t value_size = 0;
+
+  /// NaN-poisoned stats (hand-crafted files only) force a decode.
+  bool stats_usable() const {
+    return !std::isnan(min_v) && !std::isnan(max_v) && !std::isnan(sum_v);
+  }
+};
+
+/// A chunk's page directory: its header fields plus one PageLocator per
+/// page, parsed once from the chunk's headers by the TsFile reader and
+/// cached per (file, sensor), so reads fetch and decode only the pages
+/// their time range overlaps. Lives in common/ for the same reason as
+/// ChunkLocator: the cache holds it.
+struct ChunkPageIndex {
+  uint8_t raw_type = 0;
+  uint8_t time_encoding = 0;
+  uint8_t value_encoding = 0;
+  std::vector<PageLocator> pages;
+
+  size_t MemoryBytes() const {
+    return sizeof(ChunkPageIndex) + pages.capacity() * sizeof(PageLocator);
+  }
+};
+
 /// One file's footer: sensor id -> chunk locator. The tree form is
 /// transient — the TsFile footer parser builds it sensor by sensor — and is
 /// flattened into a FooterIndex before any long-lived holder (the chunk
@@ -79,26 +118,12 @@ class FooterIndex {
  public:
   FooterIndex() { offsets_.push_back(0); }
 
-  /// Flattens a parsed footer. Map iteration order is lexicographic, which
-  /// Find's binary search relies on.
-  explicit FooterIndex(const FooterMap& map) {
-    size_t name_bytes = 0;
-    for (const auto& [name, locator] : map) name_bytes += name.size();
-    names_.reserve(name_bytes);
-    offsets_.reserve(map.size() + 1);
-    locators_.reserve(map.size());
-    offsets_.push_back(0);
-    for (const auto& [name, locator] : map) {
-      names_.append(name);
-      offsets_.push_back(static_cast<uint32_t>(names_.size()));
-      locators_.push_back(locator);
-    }
-  }
-
-  /// Flattens seal-time footer entries. `entries` must already be sorted
-  /// by name (TsFileWriter::Finish sorts); Find's binary search relies on
-  /// it.
-  explicit FooterIndex(const FooterEntries& entries) {
+  /// Flattens a parsed footer (FooterMap) or seal-time footer entries
+  /// (FooterEntries). Both iterate in lexicographic name order, which
+  /// Find's binary search relies on (TsFileWriter::Finish sorts its
+  /// entries).
+  template <typename SortedEntries>
+  explicit FooterIndex(const SortedEntries& entries) {
     size_t name_bytes = 0;
     for (const auto& [name, locator] : entries) name_bytes += name.size();
     names_.reserve(name_bytes);

@@ -169,13 +169,14 @@ CompactionPlan CompactionPlanner::PlanTiered(
 
 CompactionPlan CompactionPlanner::PlanFull(
     const std::vector<SealedFileRef>& files,
-    const std::vector<uint64_t>& sizes, size_t limit) const {
+    const std::vector<uint64_t>& sizes, size_t limit, size_t begin) const {
   CompactionPlan none;
-  if (files.size() < 2 || files.size() != sizes.size()) return none;
+  const size_t end = std::min(files.size(), limit);
+  if (files.size() != sizes.size() || begin >= end) return none;
   const size_t fanin = std::max<size_t>(2, config_.max_fanin);
-  const size_t count = std::min({files.size(), fanin, limit});
+  const size_t count = std::min(end - begin, fanin);
   if (count < 2) return none;
-  return WindowPlan(files, sizes, 0, count);
+  return WindowPlan(files, sizes, begin, count);
 }
 
 // --- loser tree -------------------------------------------------------------
@@ -241,8 +242,10 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
   std::vector<std::unique_ptr<TsFileReader::RunCursor>> cursors;
   cursors.reserve(k);
   for (const SensorSource& src : sources) {
+    std::shared_ptr<const FileHandle> file;
+    RETURN_NOT_OK(plan.inputs[src.input]->Handle(&file));
     cursors.push_back(std::make_unique<TsFileReader::RunCursor>(
-        plan.inputs[src.input]->path(), sensor, src.locator));
+        std::move(file), sensor, src.locator));
     RETURN_NOT_OK(cursors.back()->Open());
   }
 

@@ -123,14 +123,16 @@ class CompactionPlanner {
   CompactionPlan PlanTiered(const std::vector<SealedFileRef>& files,
                             const std::vector<uint64_t>& sizes) const;
 
-  /// Plans one step of a full compaction: the oldest min(max_fanin, n,
-  /// limit) files regardless of tiers. Repeated to a fixpoint this
-  /// reduces the list to one file — the explicit Compact() behavior.
-  /// `limit` caps the window so a full compaction started over N files
-  /// never chases files flushed after it began.
+  /// Plans one window of a full compaction, regardless of tiers: files
+  /// [begin, begin + max_fanin) clipped to the first `limit` (empty when
+  /// that leaves fewer than two). Compact() covers the first `limit`
+  /// files with consecutive windows, level by level, until one is left;
+  /// `limit` keeps a full compaction started over N files from chasing
+  /// files flushed after it began.
   CompactionPlan PlanFull(const std::vector<SealedFileRef>& files,
                           const std::vector<uint64_t>& sizes,
-                          size_t limit = static_cast<size_t>(-1)) const;
+                          size_t limit = static_cast<size_t>(-1),
+                          size_t begin = 0) const;
 
  private:
   CompactionPlan WindowPlan(const std::vector<SealedFileRef>& files,
@@ -184,9 +186,10 @@ struct CompactionStats {
 
 /// Merges one plan's input files into a single fresh sealed file with a
 /// streaming per-sensor loser-tree k-way merge: every sensor chunk is
-/// read page by page through TsFileReader::RunCursor, deduplicated
-/// last-write-wins across sequence/unsequence inputs (higher window
-/// position = newer wins), and written page by page, so job memory is
+/// read page by page through TsFileReader::RunCursor (on the input's
+/// shared FileHandle), deduplicated last-write-wins across
+/// sequence/unsequence inputs (higher window position = newer wins),
+/// and written page by page, so job memory is
 /// bounded by fan-in × page size — never by dataset size. The output is
 /// written to "<name>.tmp", fsync'd, and atomically renamed (with a
 /// directory fsync) BEFORE the swap can unlink the durable inputs; on

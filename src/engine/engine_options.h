@@ -111,12 +111,13 @@ struct EngineOptions {
   /// Built-in chunk-cache capacity when nothing else is configured.
   static constexpr size_t kDefaultChunkCacheBytes = 64u << 20;  // 64 MiB
 
-  /// Byte capacity of the engine-wide chunk cache (decoded sensor chunks +
-  /// parsed footers, shared by all shards; see common/chunk_cache.h).
-  /// kChunkCacheAuto = resolve $BACKSORT_CHUNK_CACHE_BYTES when set, else
-  /// 64 MiB. 0 disables the cache entirely: every query re-opens and
-  /// re-decodes its files, exactly the pre-cache read path. Sizing
-  /// guidance in docs/OPERATIONS.md.
+  /// Byte capacity of the engine-wide chunk cache (parsed footers, chunk
+  /// page indexes and decoded pages, shared by all shards; see
+  /// common/chunk_cache.h). kChunkCacheAuto = resolve
+  /// $BACKSORT_CHUNK_CACHE_BYTES when set, else 64 MiB. 0 runs the same
+  /// read code with nothing cached: every read re-parses its chunks' page
+  /// headers and re-decodes the pages it needs. Sizing guidance in
+  /// docs/OPERATIONS.md.
   size_t chunk_cache_bytes = kChunkCacheAuto;
 
   /// File-level time pruning: skip sealed files whose footer says the

@@ -124,9 +124,9 @@ struct EngineSharedState {
   EngineOptions options;
   FlushPool* pool = nullptr;
 
-  /// Shared read cache (decoded chunks + footers). Created by the facade
-  /// constructor before any shard exists; never null once the engine is
-  /// built. Declared before the file registries below so it outlives every
+  /// Shared read cache (footers, page indexes, decoded pages). Created by
+  /// the facade constructor before any shard exists; never null once the
+  /// engine is built. Declared before the file registries below so it outlives every
   /// SealedFileMeta (whose destructor invalidates its cache entries).
   std::unique_ptr<ChunkCache> chunk_cache;
 
@@ -366,11 +366,10 @@ class EngineShard {
   void TakeSnapshot(const std::string& sensor, Timestamp t_min,
                     Timestamp t_max, bool want_points, ReadSnapshot* snap);
 
-  /// Reads `sensor`'s points in [t_min, t_max] from one sealed file, via
-  /// the shared chunk cache when enabled (footer lookup + single-chunk
-  /// read + binary-search filter) or the direct whole-file reader when
-  /// disabled (bit-identical to the pre-cache path). Runs without any
-  /// engine lock.
+  /// Reads `sensor`'s points in [t_min, t_max] from one sealed file:
+  /// footer locator, then the chunk's page index, then only the pages that
+  /// overlap the range, all through the shared chunk cache (which simply
+  /// misses when disabled). Runs without any engine lock.
   Status ReadFileRange(const SealedFileMeta& file, const std::string& sensor,
                        Timestamp t_min, Timestamp t_max,
                        std::vector<Timestamp>* ts,

@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "tsfile/tsfile.h"
-
 namespace backsort {
 
 namespace {
@@ -47,6 +45,7 @@ SealedFileMeta::SealedFileMeta(std::string path,
 }
 
 SealedFileMeta::~SealedFileMeta() {
+  handle_.reset();  // close before the unlink below
   if (!obsolete_.load(std::memory_order_acquire)) return;
   if (cache_ != nullptr) cache_->InvalidateFile(path_);
   std::error_code ec;
@@ -62,14 +61,31 @@ Status SealedFileMeta::Footer(std::shared_ptr<const FooterIndex>* out) const {
   if (footer == nullptr) {
     // Evicted (or never warmed): tail-only re-read, shared via the cache
     // so concurrent readers of this file converge on one copy.
+    std::shared_ptr<const FileHandle> file;
+    RETURN_NOT_OK(Handle(&file));
     FooterMap parsed;
-    RETURN_NOT_OK(ReadTsFileFooter(path_, &parsed));
+    RETURN_NOT_OK(ReadTsFileFooter(*file, &parsed));
     auto fresh = std::make_shared<const FooterIndex>(parsed);
     cache_->PutFooter(path_, fresh);
     footer = std::move(fresh);
   }
   *out = std::move(footer);
   return Status::OK();
+}
+
+Status SealedFileMeta::Handle(std::shared_ptr<const FileHandle>* out) const {
+  std::lock_guard<std::mutex> lock(handle_mu_);
+  if (handle_ == nullptr) RETURN_NOT_OK(FileHandle::Open(path_, &handle_));
+  *out = handle_;
+  return Status::OK();
+}
+
+Status SealedFileMeta::Pages(const std::string& sensor,
+                             const ChunkLocator& locator,
+                             ChunkPages* out) const {
+  std::shared_ptr<const FileHandle> file;
+  RETURN_NOT_OK(Handle(&file));
+  return ChunkPages::Open(std::move(file), sensor, locator, cache_, out);
 }
 
 }  // namespace backsort

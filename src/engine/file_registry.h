@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/chunk_cache.h"
 #include "common/chunk_locator.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "tsfile/tsfile.h"
 
 namespace backsort {
 
@@ -24,8 +26,12 @@ namespace backsort {
 /// the constructor warms the cache's footer entry and `Footer()` fetches
 /// it back on demand — evicted footers are re-parsed from the file tail
 /// (one small read), so resident metadata is bounded by the cache budget,
-/// not by cardinality. With the cache disabled the footer is pinned,
-/// preserving the zero-I/O pre-cache pruning path bit for bit.
+/// not by cardinality. With the cache disabled the footer is pinned, so
+/// pruning still reads nothing.
+///
+/// Every read of the file's chunks goes through one pread FileHandle kept
+/// here: opened on the first read, shared by all concurrent readers, and
+/// closed in the destructor.
 ///
 /// Lifetime doubles as deferred deletion: compaction retires a file by
 /// calling MarkObsolete() and dropping its registry refs. The last reader
@@ -74,6 +80,15 @@ class SealedFileMeta {
   /// errors reading the footer back.
   Status Footer(std::shared_ptr<const FooterIndex>* out) const;
 
+  /// The file's pread handle, opened on first use. Thread-safe.
+  Status Handle(std::shared_ptr<const FileHandle>* out) const;
+
+  /// Page reader over `sensor`'s chunk (`locator` from Footer()) through
+  /// the engine's chunk cache: page index and decoded pages are cache
+  /// entries under this file's path.
+  Status Pages(const std::string& sensor, const ChunkLocator& locator,
+               ChunkPages* out) const;
+
   /// Flags the file for deletion once the last ref drops. Called by
   /// compaction after the replacement file is published.
   void MarkObsolete() { obsolete_.store(true, std::memory_order_release); }
@@ -83,6 +98,8 @@ class SealedFileMeta {
   std::string path_;
   std::shared_ptr<const FooterIndex> pinned_;  // only when cache disabled
   ChunkCache* cache_;
+  mutable std::mutex handle_mu_;
+  mutable std::shared_ptr<const FileHandle> handle_;  // opened on first read
   Timestamp span_min_t_ = 0;
   Timestamp span_max_t_ = -1;  // empty sentinel, like ChunkLocator
   size_t sensor_count_ = 0;

@@ -1,5 +1,7 @@
 #include "engine/flush_pool.h"
 
+#include <atomic>
+
 #include "engine/engine_shard.h"
 
 namespace backsort {
@@ -50,6 +52,26 @@ void FlushPool::WorkerLoop() {
     }
     shard->ExecuteOneFlush();
   }
+}
+
+void RunTaskGroup(size_t workers, size_t tasks,
+                  const std::function<void(size_t worker, size_t task)>& fn) {
+  if (workers <= 1) {
+    for (size_t i = 0; i < tasks; ++i) fn(0, i);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> group;
+  group.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    group.emplace_back([&, w] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < tasks;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(w, i);
+      }
+    });
+  }
+  for (std::thread& t : group) t.join();
 }
 
 }  // namespace backsort

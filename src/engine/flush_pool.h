@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -49,6 +50,14 @@ class FlushPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(worker, task) for every task in [0, tasks) on `workers` threads
+/// started for this call, each claiming the next unclaimed task, and
+/// returns once all are done; `worker` (< workers) indexes per-worker
+/// scratch. With workers <= 1 the tasks run inline, in order, as worker 0.
+/// The seal path's per-sensor sort+encode fan-out (flush_parallelism).
+void RunTaskGroup(size_t workers, size_t tasks,
+                  const std::function<void(size_t worker, size_t task)>& fn);
 
 }  // namespace backsort
 

@@ -213,15 +213,22 @@ Status StorageEngine::RecoverAll() {
         path, std::make_shared<const FooterIndex>(reader.Locators()),
         shared_.chunk_cache.get());
     metas.push_back(meta);
-    for (const std::string& sensor : reader.Sensors()) {
+    std::shared_ptr<const FileHandle> file;
+    RETURN_NOT_OK(meta->Handle(&file));
+    for (const auto& [sensor, locator] : reader.Locators()) {
       EngineShard* shard = shards_[ShardFor(sensor)].get();
       shard->RecoverAdoptFile(meta);
-      std::vector<Timestamp> ts;
-      std::vector<double> values;
-      RETURN_NOT_OK(reader.ReadChunkF64(sensor, &ts, &values));
-      if (ts.empty()) continue;
-      if (sequence) shard->RecoverWatermark(sensor, ts.back());
-      shard->RecoverLastCache(sensor, ts.back(), values.back());
+      // Decode every page, uncached: a damaged chunk body fails recovery
+      // here instead of a later query. Only the last point is kept.
+      ChunkPages pages;
+      RETURN_NOT_OK(ChunkPages::Open(file, sensor, locator, nullptr, &pages));
+      std::shared_ptr<const DecodedPage> page;
+      for (size_t p = 0; p < pages.size(); ++p) {
+        RETURN_NOT_OK(pages.Page(p, &page));
+      }
+      if (page == nullptr || page->ts.empty()) continue;
+      if (sequence) shard->RecoverWatermark(sensor, page->ts.back());
+      shard->RecoverLastCache(sensor, page->ts.back(), page->values.back());
     }
   }
   {
@@ -540,18 +547,32 @@ Status StorageEngine::Compact() {
     std::unique_lock<std::mutex> lock(shared_.files_mu);
     remaining = shared_.all_files.size();
   }
+  // Level by level: each pass merges consecutive fan-in windows of the
+  // remaining files, so every point is rewritten once per level, about
+  // log_fanin(n) times in all. Windows keep creation order, so
+  // last-write-wins holds; they run last to first because a merge only
+  // shifts the files after it, which leaves the planned positions of the
+  // earlier windows valid.
   const CompactionPlanner planner(compaction_config_);
   while (remaining >= 2) {
     std::vector<SealedFileRef> files;
     std::vector<uint64_t> sizes;
-    const int64_t plan_start = shared_.NowNs();
+    int64_t plan_start = shared_.NowNs();
     SnapshotFiles(&files, &sizes);
-    CompactionPlan plan = planner.PlanFull(files, sizes, remaining);
-    shared_.compaction_histograms.plan.Record(
-        static_cast<uint64_t>(shared_.NowNs() - plan_start));
-    if (plan.empty()) break;
-    RETURN_NOT_OK(RunCompactionPlan(plan, nullptr));
-    remaining = remaining - plan.inputs.size() + 1;
+    std::vector<CompactionPlan> level;
+    for (size_t begin = 0; begin < remaining;
+         begin += compaction_config_.max_fanin) {
+      // One plan observation per window; the first includes the snapshot.
+      level.push_back(planner.PlanFull(files, sizes, remaining, begin));
+      const int64_t now = shared_.NowNs();
+      shared_.compaction_histograms.plan.Record(
+          static_cast<uint64_t>(now - plan_start));
+      plan_start = now;
+    }
+    for (auto it = level.rbegin(); it != level.rend(); ++it) {
+      if (!it->empty()) RETURN_NOT_OK(RunCompactionPlan(*it, nullptr));
+    }
+    remaining = level.size();
   }
   return Status::OK();
 }

@@ -108,8 +108,9 @@ class StorageEngine {
   /// (sealed-file refs + memtable copies); all file I/O, cache lookups,
   /// decoding and merging run lock-free, so same-shard writers progress
   /// while a query reads. Files are pruned by footer time range before
-  /// being opened, and decoded chunks are served from the shared
-  /// ChunkCache (EngineOptions::chunk_cache_bytes).
+  /// being opened; surviving files are read page by page (only the pages
+  /// overlapping the range), through the shared ChunkCache
+  /// (EngineOptions::chunk_cache_bytes).
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
 
@@ -124,8 +125,8 @@ class StorageEngine {
   /// sequence chunks fully inside the range whose footers carry value
   /// statistics (BSTF2) answer from metadata alone — no chunk byte is
   /// read. Tier 2: partially covered (or stat-less BSTF1) chunks run a
-  /// page-level partial aggregation that decodes only boundary pages,
-  /// fanned across a small reader pool when several chunks need it. Both
+  /// page-level partial aggregation that folds interior pages from the
+  /// page index and decodes only boundary pages, chunk after chunk. Both
   /// tiers are only sound when no data source can shadow another
   /// (duplicate timestamps are resolved last-write-wins by Query), so any
   /// in-memory points or overlapping unsequence file in range drops the
@@ -181,10 +182,11 @@ class StorageEngine {
     return shared_.options.flush_parallelism;
   }
 
-  /// Full compaction to a fixpoint: repeatedly merges the oldest
-  /// max-fan-in window of the sealed-file list (streaming, bounded
+  /// Full compaction, level by level: each pass merges consecutive
+  /// max-fan-in windows of the sealed-file list (streaming, bounded
   /// memory; see engine/compaction.h) until the files present when the
-  /// call began are one sequence file. Files flushed while it runs are
+  /// call began are one sequence file, so each point is rewritten about
+  /// log_fanin(files) times. Files flushed while it runs are
   /// left alone. Blocks writes for each window's registry swap only;
   /// serialized against CompactStep and the background scheduler.
   Status Compact();

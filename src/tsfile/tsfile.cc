@@ -1,14 +1,16 @@
 #include "tsfile/tsfile.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
+#include <type_traits>
 
 #include "encoding/bytes.h"
 
@@ -40,97 +42,6 @@ Status FsyncPath(const std::string& path, int flags, const char* what) {
   ::close(fd);
   if (rc != 0) {
     return Status::IOError(std::string(what) + " failed: " + path);
-  }
-  return Status::OK();
-}
-
-Status EncodeTimeAndValues(Encoding time_enc,
-                           const std::vector<Timestamp>& ts, ByteBuffer* out) {
-  return EncodeI64(time_enc, ts, out);
-}
-
-Status DecodeValuesDispatch(Encoding enc, ByteReader* reader, size_t count,
-                            std::vector<int64_t>* out) {
-  return DecodeI64(enc, reader, count, out);
-}
-
-Status DecodeValuesDispatch(Encoding enc, ByteReader* reader, size_t count,
-                            std::vector<double>* out) {
-  return DecodeF64(enc, reader, count, out);
-}
-
-/// Decodes one chunk from its byte span (header + pages), appending the
-/// points inside [t_min, t_max] to the output columns. Shared by the
-/// whole-file reader and the standalone single-chunk read, so both paths
-/// stay byte-for-byte identical in what they accept and return.
-template <typename V>
-Status DecodeChunkSpan(const uint8_t* chunk, size_t size,
-                       const std::string& sensor, DataType expect_type,
-                       Timestamp t_min, Timestamp t_max,
-                       std::vector<Timestamp>* ts, std::vector<V>* values) {
-  ByteReader r(chunk, size);
-  std::string stored_sensor;
-  RETURN_NOT_OK(r.GetLengthPrefixedString(&stored_sensor));
-  if (stored_sensor != sensor) {
-    return Status::Corruption("chunk header sensor mismatch");
-  }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(r.GetU8(&type));
-  RETURN_NOT_OK(r.GetU8(&time_enc));
-  RETURN_NOT_OK(r.GetU8(&value_enc));
-  if (static_cast<DataType>(type) != expect_type) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  uint64_t page_count = 0;
-  RETURN_NOT_OK(r.GetVarint64(&page_count));
-
-  ts->clear();
-  values->clear();
-  std::vector<Timestamp> page_ts;
-  std::vector<V> page_vals;
-  for (uint64_t p = 0; p < page_count; ++p) {
-    uint64_t count = 0;
-    RETURN_NOT_OK(r.GetVarint64(&count));
-    int64_t page_min = 0, page_max = 0;
-    RETURN_NOT_OK(r.GetVarintSigned64(&page_min));
-    RETURN_NOT_OK(r.GetVarintSigned64(&page_max));
-    RETURN_NOT_OK(r.Skip(3 * 8));  // value stats: min, max, sum
-    uint64_t time_size = 0;
-    RETURN_NOT_OK(r.GetVarint64(&time_size));
-    const bool prune = page_max < t_min || page_min > t_max;
-    if (prune) {
-      RETURN_NOT_OK(r.Skip(time_size));
-      uint64_t value_size = 0;
-      RETURN_NOT_OK(r.GetVarint64(&value_size));
-      RETURN_NOT_OK(r.Skip(value_size));
-      continue;
-    }
-    if (time_size > r.remaining()) {
-      return Status::Corruption("page time buffer overruns file");
-    }
-    {
-      ByteReader time_reader(chunk + r.position(), time_size);
-      RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(time_enc), &time_reader,
-                              count, &page_ts));
-      RETURN_NOT_OK(r.Skip(time_size));
-    }
-    uint64_t value_size = 0;
-    RETURN_NOT_OK(r.GetVarint64(&value_size));
-    if (value_size > r.remaining()) {
-      return Status::Corruption("page value buffer overruns file");
-    }
-    {
-      ByteReader value_reader(chunk + r.position(), value_size);
-      RETURN_NOT_OK(DecodeValuesDispatch(static_cast<Encoding>(value_enc),
-                                         &value_reader, count, &page_vals));
-      RETURN_NOT_OK(r.Skip(value_size));
-    }
-    for (size_t i = 0; i < page_ts.size(); ++i) {
-      if (page_ts[i] >= t_min && page_ts[i] <= t_max) {
-        ts->push_back(page_ts[i]);
-        values->push_back(page_vals[i]);
-      }
-    }
   }
   return Status::OK();
 }
@@ -234,7 +145,7 @@ Status EncodePage(const std::vector<Timestamp>& ts,
   std::vector<Timestamp> page_ts(ts.begin() + static_cast<ptrdiff_t>(begin),
                                  ts.begin() + static_cast<ptrdiff_t>(end));
   ByteBuffer time_buf;
-  RETURN_NOT_OK(EncodeTimeAndValues(time_enc, page_ts, &time_buf));
+  RETURN_NOT_OK(EncodeI64(time_enc, page_ts, &time_buf));
   out->PutVarint64(time_buf.size());
   out->Append(time_buf);
 
@@ -251,17 +162,14 @@ Status EncodePage(const std::vector<Timestamp>& ts,
   return Status::OK();
 }
 
-/// Serializes one chunk body (header + pages) into a standalone buffer.
-/// Every byte WriteChunkImpl used to append to the file buffer lands here
-/// in the same order, so encode-then-append is bit-identical to the
-/// in-place path.
+/// Encodes one chunk (header + pages) with its index-entry metadata —
+/// the single definition of chunk bytes behind WriteChunk* and
+/// EncodeChunkF64, so every path appends identical bytes.
 template <typename V>
-Status EncodeChunkBody(std::string_view sensor,
-                       const std::vector<Timestamp>& ts,
-                       const std::vector<V>& values, DataType type,
-                       Encoding time_enc, Encoding value_enc,
-                       size_t points_per_page, ByteBuffer* out,
-                       ValueStats* stats_out = nullptr) {
+Status EncodeChunk(std::string_view sensor, const std::vector<Timestamp>& ts,
+                   const std::vector<V>& values, DataType type,
+                   Encoding time_enc, Encoding value_enc,
+                   size_t points_per_page, TsFileWriter::EncodedChunk* out) {
   if (ts.size() != values.size()) {
     return Status::InvalidArgument("time/value size mismatch");
   }
@@ -272,52 +180,33 @@ Status EncodeChunkBody(std::string_view sensor,
   if (points_per_page == 0) {
     points_per_page = TsFileWriter::kDefaultPointsPerPage;
   }
-
-  out->PutLengthPrefixedString(sensor);
-  out->PutU8(static_cast<uint8_t>(type));
-  out->PutU8(static_cast<uint8_t>(time_enc));
-  out->PutU8(static_cast<uint8_t>(value_enc));
+  out->type = type;
+  out->points = ts.size();
+  out->min_t = ts.empty() ? Timestamp{0} : ts.front();
+  out->max_t = ts.empty() ? Timestamp{-1} : ts.back();
+  out->stats = ValueStats{};
+  ByteBuffer* body = &out->body;
+  body->Clear();
+  body->PutLengthPrefixedString(sensor);
+  body->PutU8(static_cast<uint8_t>(type));
+  body->PutU8(static_cast<uint8_t>(time_enc));
+  body->PutU8(static_cast<uint8_t>(value_enc));
   const size_t page_count = ts.empty()
                                 ? 0
                                 : (ts.size() + points_per_page - 1) /
                                       points_per_page;
-  out->PutVarint64(page_count);
+  body->PutVarint64(page_count);
 
   for (size_t p = 0; p < page_count; ++p) {
     const size_t begin = p * points_per_page;
     const size_t end = std::min(begin + points_per_page, ts.size());
     RETURN_NOT_OK(EncodePage(ts, values, begin, end, time_enc, value_enc,
-                             out, stats_out));
+                             body, &out->stats));
   }
   return Status::OK();
 }
 
 }  // namespace
-
-template <typename V>
-Status TsFileWriter::WriteChunkImpl(std::string_view sensor,
-                                    const std::vector<Timestamp>& ts,
-                                    const std::vector<V>& values,
-                                    DataType type, Encoding time_enc,
-                                    Encoding value_enc,
-                                    size_t points_per_page) {
-  if (finished_) return Status::InvalidArgument("writer already finished");
-  if (chunk_open_) {
-    return Status::InvalidArgument("streaming chunk still open");
-  }
-  ByteBuffer body;
-  ValueStats vstats;
-  RETURN_NOT_OK(EncodeChunkBody(sensor, ts, values, type, time_enc,
-                                value_enc, points_per_page, &body, &vstats));
-  if (FileOffset() == 0) {
-    buffer_.PutBytes(magic(), kMagicLen);
-  }
-  index_.push_back({std::string(sensor), FileOffset(), type, ts.size(),
-                    ts.empty() ? Timestamp{0} : ts.front(),
-                    ts.empty() ? Timestamp{-1} : ts.back(), vstats});
-  buffer_.Append(body);
-  return MaybeSpill();
-}
 
 Status TsFileWriter::EncodeChunkF64(std::string_view sensor,
                                     const std::vector<Timestamp>& ts,
@@ -325,15 +214,8 @@ Status TsFileWriter::EncodeChunkF64(std::string_view sensor,
                                     Encoding time_enc, Encoding value_enc,
                                     size_t points_per_page,
                                     EncodedChunk* out) {
-  out->body.Clear();
-  out->type = DataType::kDouble;
-  out->points = ts.size();
-  out->min_t = ts.empty() ? Timestamp{0} : ts.front();
-  out->max_t = ts.empty() ? Timestamp{-1} : ts.back();
-  out->stats = ValueStats{};
-  return EncodeChunkBody(sensor, ts, values, DataType::kDouble, time_enc,
-                         value_enc, points_per_page, &out->body,
-                         &out->stats);
+  return EncodeChunk(sensor, ts, values, DataType::kDouble, time_enc,
+                     value_enc, points_per_page, out);
 }
 
 Status TsFileWriter::AppendEncodedChunk(std::string_view sensor,
@@ -356,8 +238,10 @@ Status TsFileWriter::WriteChunkI64(std::string_view sensor,
                                    const std::vector<int64_t>& values,
                                    Encoding time_enc, Encoding value_enc,
                                    size_t points_per_page) {
-  return WriteChunkImpl(sensor, ts, values, DataType::kInt64, time_enc,
-                        value_enc, points_per_page);
+  EncodedChunk chunk;
+  RETURN_NOT_OK(EncodeChunk(sensor, ts, values, DataType::kInt64, time_enc,
+                            value_enc, points_per_page, &chunk));
+  return AppendEncodedChunk(sensor, chunk);
 }
 
 Status TsFileWriter::WriteChunkF64(std::string_view sensor,
@@ -365,8 +249,10 @@ Status TsFileWriter::WriteChunkF64(std::string_view sensor,
                                    const std::vector<double>& values,
                                    Encoding time_enc, Encoding value_enc,
                                    size_t points_per_page) {
-  return WriteChunkImpl(sensor, ts, values, DataType::kDouble, time_enc,
-                        value_enc, points_per_page);
+  EncodedChunk chunk;
+  RETURN_NOT_OK(EncodeChunkF64(sensor, ts, values, time_enc, value_enc,
+                               points_per_page, &chunk));
+  return AppendEncodedChunk(sensor, chunk);
 }
 
 Status TsFileWriter::SpillBuffer() {
@@ -528,221 +414,314 @@ Status TsFileWriter::Finish() {
   return Status::OK();
 }
 
-// --- reader -----------------------------------------------------------------
+// --- file handle and footer -------------------------------------------------
 
-Status TsFileReader::Open() {
-  std::ifstream in(path_, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open for read: " + path_);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  data_.resize(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(data_.data()), size);
-  if (!in) return Status::IOError("read failed: " + path_);
-
-  // Validate head magic + tail magic, locate the index. Both format
-  // versions open here: BSTF2 footers carry chunk value statistics,
-  // BSTF1 (stat-less legacy files) parse with has_stats left false.
-  if (data_.size() < 2 * kMagicLen + 8) {
-    return Status::Corruption("file too small for header/footer");
+Status FileHandle::Open(const std::string& path,
+                        std::shared_ptr<const FileHandle>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("cannot stat: " + path);
   }
-  bool has_stats = false;
-  if (std::memcmp(data_.data(), TsFileWriter::kMagicV2, kMagicLen) == 0) {
-    has_stats = true;
-  } else if (std::memcmp(data_.data(), TsFileWriter::kMagic, kMagicLen) !=
-             0) {
-    return Status::Corruption("bad head magic");
-  }
-  const char* magic =
-      has_stats ? TsFileWriter::kMagicV2 : TsFileWriter::kMagic;
-  if (std::memcmp(data_.data() + data_.size() - kMagicLen, magic,
-                  kMagicLen) != 0) {
-    return Status::Corruption("bad tail magic (truncated file?)");
-  }
-  ByteReader footer(data_.data() + data_.size() - kMagicLen - 8, 8);
-  uint64_t index_offset = 0;
-  RETURN_NOT_OK(footer.GetFixed64(&index_offset));
-  // data_.size() >= 2 * kMagicLen + 8 was checked above, so the
-  // subtraction cannot underflow (and an offset near UINT64_MAX cannot
-  // slip past via addition overflow).
-  if (index_offset >= data_.size() - kMagicLen - 8 ||
-      index_offset < kMagicLen) {
-    return Status::Corruption("index offset out of bounds");
-  }
-  return ParseIndexBlock(data_.data() + index_offset,
-                         data_.size() - index_offset - kMagicLen - 8,
-                         index_offset, data_.size(), has_stats, &locators_);
-}
-
-std::vector<std::string> TsFileReader::Sensors() const {
-  std::vector<std::string> out;
-  out.reserve(locators_.size());
-  for (const auto& [sensor, _] : locators_) out.push_back(sensor);
-  return out;
-}
-
-Status TsFileReader::GetDataType(const std::string& sensor,
-                                 DataType* out) const {
-  auto it = locators_.find(sensor);
-  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
-  *out = static_cast<DataType>(it->second.raw_type);
+  out->reset(new FileHandle(path, fd, static_cast<uint64_t>(st.st_size)));
   return Status::OK();
 }
 
-template <typename V>
-Status TsFileReader::ReadChunkImpl(const std::string& sensor,
-                                   DataType expect_type, Timestamp t_min,
-                                   Timestamp t_max,
-                                   std::vector<Timestamp>* ts,
-                                   std::vector<V>* values) const {
-  auto it = locators_.find(sensor);
-  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
-  if (static_cast<DataType>(it->second.raw_type) != expect_type) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
+FileHandle::~FileHandle() { ::close(fd_); }
+
+Status FileHandle::ReadAt(uint64_t offset, size_t n, void* dst) const {
+  auto* p = static_cast<uint8_t*>(dst);
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_, p, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("read failed: " + path_);
+    }
+    if (got == 0) return Status::Corruption("file truncated: " + path_);
+    p += got;
+    offset += static_cast<uint64_t>(got);
+    n -= static_cast<size_t>(got);
   }
-  const ChunkLocator& locator = it->second;
-  return DecodeChunkSpan(data_.data() + locator.offset, locator.length,
-                         sensor, expect_type, t_min, t_max, ts, values);
-}
-
-Status TsFileReader::ReadChunkI64(const std::string& sensor,
-                                  std::vector<Timestamp>* ts,
-                                  std::vector<int64_t>* values) const {
-  return ReadChunkImpl(sensor, DataType::kInt64,
-                       std::numeric_limits<Timestamp>::min(),
-                       std::numeric_limits<Timestamp>::max(), ts, values);
-}
-
-Status TsFileReader::ReadChunkF64(const std::string& sensor,
-                                  std::vector<Timestamp>* ts,
-                                  std::vector<double>* values) const {
-  return ReadChunkImpl(sensor, DataType::kDouble,
-                       std::numeric_limits<Timestamp>::min(),
-                       std::numeric_limits<Timestamp>::max(), ts, values);
-}
-
-Status TsFileReader::QueryRangeF64(const std::string& sensor, Timestamp t_min,
-                                   Timestamp t_max,
-                                   std::vector<Timestamp>* ts,
-                                   std::vector<double>* values) const {
-  return ReadChunkImpl(sensor, DataType::kDouble, t_min, t_max, ts, values);
+  return Status::OK();
 }
 
 namespace {
 
-/// Aggregates one chunk byte span over [t_min, t_max] with page-statistics
-/// pushdown — the single fold both TsFileReader::AggregateRangeF64 and the
-/// standalone AggregateTsFileChunkF64 run, so the slurping and the seeking
-/// paths agree bit for bit. NaN semantics: NaN values are excluded from
-/// min/max/sum, counted in count, kept raw in first/last; a page whose
-/// stored stats are themselves NaN (hand-crafted v1 files) is decoded
-/// instead of trusted.
-Status AggregateChunkSpanF64(const uint8_t* chunk, size_t size,
-                             const std::string& sensor, Timestamp t_min,
-                             Timestamp t_max,
-                             TsFileReader::RangeStats* stats,
-                             size_t* pages_skipped,
-                             const PageCacheHooks* hooks) {
-  ByteReader r(chunk, size);
-  std::string stored_sensor;
-  RETURN_NOT_OK(r.GetLengthPrefixedString(&stored_sensor));
-  if (stored_sensor != sensor) {
-    return Status::Corruption("chunk header sensor mismatch");
+/// Tail + index block read; `has_stats` reports the version the tail
+/// magic names (BSTF2 index entries carry value statistics, BSTF1 do not).
+Status ReadFooter(const FileHandle& file, FooterMap* out, bool* has_stats) {
+  const uint64_t file_size = file.size();
+  if (file_size < 2 * kMagicLen + 8) {
+    return Status::Corruption("file too small for header/footer");
   }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(r.GetU8(&type));
-  RETURN_NOT_OK(r.GetU8(&time_enc));
-  RETURN_NOT_OK(r.GetU8(&value_enc));
-  if (static_cast<DataType>(type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
+  uint8_t tail[8 + kMagicLen];
+  RETURN_NOT_OK(file.ReadAt(file_size - sizeof(tail), sizeof(tail), tail));
+  *has_stats = false;
+  if (std::memcmp(tail + 8, TsFileWriter::kMagicV2, kMagicLen) == 0) {
+    *has_stats = true;
+  } else if (std::memcmp(tail + 8, TsFileWriter::kMagic, kMagicLen) != 0) {
+    return Status::Corruption("bad tail magic (truncated file?)");
+  }
+  ByteReader tail_reader(tail, 8);
+  uint64_t index_offset = 0;
+  RETURN_NOT_OK(tail_reader.GetFixed64(&index_offset));
+  // file_size >= sizeof(tail) + kMagicLen was checked above, so the
+  // subtraction cannot underflow (and an offset near UINT64_MAX cannot
+  // slip past via addition overflow).
+  if (index_offset >= file_size - sizeof(tail) || index_offset < kMagicLen) {
+    return Status::Corruption("index offset out of bounds");
+  }
+  std::vector<uint8_t> block(
+      static_cast<size_t>(file_size - sizeof(tail) - index_offset));
+  RETURN_NOT_OK(file.ReadAt(index_offset, block.size(), block.data()));
+  return ParseIndexBlock(block.data(), block.size(), index_offset, file_size,
+                         *has_stats, out);
+}
+
+}  // namespace
+
+Status ReadTsFileFooter(const FileHandle& file, FooterMap* out) {
+  bool has_stats = false;
+  return ReadFooter(file, out, &has_stats);
+}
+
+// --- page index and page decode ---------------------------------------------
+
+namespace {
+
+/// Bytes one page-index refill reads: a page header plus, for small pages,
+/// the buffers and the next headers after it — one pread serves several
+/// headers, and no reader ever holds a chunk's bytes.
+constexpr size_t kIndexWindowBytes = 4096;
+/// Largest page header: count, min_t, max_t varints, three fixed64
+/// statistics, the time-buffer size varint.
+constexpr size_t kMaxPageHeaderBytes = 3 * 10 + 3 * 8 + 10;
+/// Smallest possible page (one-byte varints, no buffer bytes).
+constexpr uint64_t kMinPageBytes = 3 + 3 * 8 + 2;
+
+/// Bounded read window over one chunk's bytes (up to `end`) of a file.
+class ChunkWindow {
+ public:
+  ChunkWindow(const FileHandle& file, uint64_t end) : file_(file), end_(end) {}
+
+  /// Points `*r` at the chunk bytes from `pos` (<= end) on: at least
+  /// min(want, end - pos) of them, from the window when it holds them,
+  /// else by one pread of max(want, kIndexWindowBytes) bytes clipped at
+  /// the chunk end.
+  Status At(uint64_t pos, size_t want, ByteReader* r) {
+    const uint64_t avail = end_ - pos;
+    const uint64_t need = std::min<uint64_t>(want, avail);
+    if (pos < buf_pos_ || pos - buf_pos_ + need > buf_.size()) {
+      buf_.resize(static_cast<size_t>(
+          std::min<uint64_t>(std::max(want, kIndexWindowBytes), avail)));
+      RETURN_NOT_OK(file_.ReadAt(pos, buf_.size(), buf_.data()));
+      buf_pos_ = pos;
+    }
+    const size_t skip = static_cast<size_t>(pos - buf_pos_);
+    *r = ByteReader(buf_.data() + skip, buf_.size() - skip);
+    return Status::OK();
+  }
+
+ private:
+  const FileHandle& file_;
+  const uint64_t end_;
+  std::vector<uint8_t> buf_;
+  uint64_t buf_pos_ = 0;
+};
+
+template <typename V>
+constexpr DataType kDataTypeOf =
+    std::is_same_v<V, double> ? DataType::kDouble : DataType::kInt64;
+
+/// The one parser of a chunk header and its page headers: builds the page
+/// index through a bounded pread window, so no reader ever holds the
+/// whole chunk. Errors as documented on ChunkPages::Open.
+Status ReadChunkPageIndex(const FileHandle& file, const std::string& sensor,
+                          const ChunkLocator& locator, ChunkPageIndex* out) {
+  out->pages.clear();
+  const std::string& path = file.path();
+  if (locator.offset > file.size() ||
+      locator.length > file.size() - locator.offset) {
+    return Status::Corruption("chunk outside file: " + path);
+  }
+  const uint64_t end = locator.offset + locator.length;
+  ChunkWindow window(file, end);
+  ByteReader r(nullptr, 0);
+  uint64_t pos = locator.offset;
+
+  // Chunk header: sensor name, data type, encodings, page count.
+  RETURN_NOT_OK(window.At(pos, 10 + sensor.size() + 3 + 10, &r));
+  uint64_t name_len = 0;
+  RETURN_NOT_OK(r.GetVarint64(&name_len));
+  std::string stored(sensor.size(), '\0');
+  if (name_len != sensor.size() ||
+      !r.GetBytes(stored.data(), stored.size()).ok() || stored != sensor) {
+    return Status::Corruption("chunk header sensor mismatch: " + path);
   }
   uint64_t page_count = 0;
+  RETURN_NOT_OK(r.GetU8(&out->raw_type));
+  RETURN_NOT_OK(r.GetU8(&out->time_encoding));
+  RETURN_NOT_OK(r.GetU8(&out->value_encoding));
   RETURN_NOT_OK(r.GetVarint64(&page_count));
+  if (out->raw_type != locator.raw_type) {
+    return Status::Corruption("chunk type disagrees with footer: " + path);
+  }
+  if (page_count > locator.points) {
+    return Status::Corruption("page count above chunk points: " + path);
+  }
+  pos += r.position();
+  out->pages.reserve(static_cast<size_t>(
+      std::min<uint64_t>(page_count, locator.length / kMinPageBytes)));
 
-  // Pass 1: page metadata (statistics live in the header, so this pass
-  // never touches the encoded buffers).
-  struct PageMeta {
-    uint64_t count;
-    Timestamp min_t, max_t;
-    double min_v, max_v, sum_v;
-    size_t time_buf_pos;  // offset within the chunk span
-    uint64_t time_size;
-    size_t value_buf_pos;
-    uint64_t value_size;
-    bool contributes;
-    bool fully_inside;
-  };
-  std::vector<PageMeta> pages;
-  pages.reserve(page_count);
+  uint64_t points = 0;
   for (uint64_t p = 0; p < page_count; ++p) {
-    PageMeta m{};
-    RETURN_NOT_OK(r.GetVarint64(&m.count));
-    int64_t lo = 0, hi = 0;
-    RETURN_NOT_OK(r.GetVarintSigned64(&lo));
-    RETURN_NOT_OK(r.GetVarintSigned64(&hi));
-    m.min_t = lo;
-    m.max_t = hi;
+    PageLocator page;
+    RETURN_NOT_OK(window.At(pos, kMaxPageHeaderBytes, &r));
+    RETURN_NOT_OK(r.GetVarint64(&page.count));
+    RETURN_NOT_OK(r.GetVarintSigned64(&page.min_t));
+    RETURN_NOT_OK(r.GetVarintSigned64(&page.max_t));
     uint64_t bits[3];
     for (uint64_t& b : bits) RETURN_NOT_OK(r.GetFixed64(&b));
-    m.min_v = BitsToDouble(bits[0]);
-    m.max_v = BitsToDouble(bits[1]);
-    m.sum_v = BitsToDouble(bits[2]);
-    RETURN_NOT_OK(r.GetVarint64(&m.time_size));
-    m.time_buf_pos = r.position();
-    RETURN_NOT_OK(r.Skip(m.time_size));
-    RETURN_NOT_OK(r.GetVarint64(&m.value_size));
-    m.value_buf_pos = r.position();
-    RETURN_NOT_OK(r.Skip(m.value_size));
-    m.contributes = !(m.max_t < t_min || m.min_t > t_max);
-    m.fully_inside = m.min_t >= t_min && m.max_t <= t_max;
-    pages.push_back(m);
+    page.min_v = BitsToDouble(bits[0]);
+    page.max_v = BitsToDouble(bits[1]);
+    page.sum_v = BitsToDouble(bits[2]);
+    RETURN_NOT_OK(r.GetVarint64(&page.time_size));
+    if (page.count > locator.points - points) {
+      return Status::Corruption("page points above chunk points: " + path);
+    }
+    points += page.count;
+    page.time_offset = pos + r.position();
+    if (page.time_size > end - page.time_offset) {
+      return Status::Corruption("page time buffer overruns chunk: " + path);
+    }
+    pos = page.time_offset + page.time_size;
+    RETURN_NOT_OK(window.At(pos, 10, &r));
+    RETURN_NOT_OK(r.GetVarint64(&page.value_size));
+    page.value_offset = pos + r.position();
+    if (page.value_size > end - page.value_offset) {
+      return Status::Corruption("page value buffer overruns chunk: " + path);
+    }
+    pos = page.value_offset + page.value_size;
+    out->pages.push_back(page);
   }
+  return Status::OK();
+}
 
-  // Pass 2: fold. The first and last contributing pages are decoded so the
-  // first/last values are exact; partial-overlap pages are decoded for
-  // filtering; interior fully-covered pages fold from statistics.
-  ptrdiff_t first_idx = -1, last_idx = -1;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    if (pages[p].contributes) {
-      if (first_idx < 0) first_idx = static_cast<ptrdiff_t>(p);
-      last_idx = static_cast<ptrdiff_t>(p);
-    }
+/// The one page decoder: page `page` of `index` into its column pair,
+/// with a single read of that page's buffers. InvalidArgument when the
+/// chunk is not of type V; Corruption when the buffers do not decode to
+/// the page's point count.
+template <typename V>
+Status DecodePage(const FileHandle& file, const ChunkPageIndex& index,
+                  size_t page, std::vector<Timestamp>* ts,
+                  std::vector<V>* values) {
+  if (index.raw_type != static_cast<uint8_t>(kDataTypeOf<V>)) {
+    return Status::InvalidArgument("data type mismatch: " + file.path());
   }
-  bool have_any = false;
-  auto begin_fold = [&] {
-    if (!have_any) {
-      stats->min = std::numeric_limits<double>::infinity();
-      stats->max = -std::numeric_limits<double>::infinity();
-      have_any = true;
-    }
+  const PageLocator& pg = index.pages[page];
+  // One read covers both buffers and the value-size varint between them.
+  std::vector<uint8_t> buf(
+      static_cast<size_t>(pg.value_offset + pg.value_size - pg.time_offset));
+  RETURN_NOT_OK(file.ReadAt(pg.time_offset, buf.size(), buf.data()));
+  ByteReader time_reader(buf.data(), static_cast<size_t>(pg.time_size));
+  RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(index.time_encoding),
+                          &time_reader, pg.count, ts));
+  ByteReader value_reader(buf.data() + (pg.value_offset - pg.time_offset),
+                          static_cast<size_t>(pg.value_size));
+  const auto value_enc = static_cast<Encoding>(index.value_encoding);
+  if constexpr (std::is_same_v<V, double>) {
+    RETURN_NOT_OK(DecodeF64(value_enc, &value_reader, pg.count, values));
+  } else {
+    RETURN_NOT_OK(DecodeI64(value_enc, &value_reader, pg.count, values));
+  }
+  if (ts->size() != pg.count || values->size() != pg.count) {
+    return Status::Corruption("page decode count mismatch: " + file.path());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+// --- chunk pages --------------------------------------------------------------
+
+Status ChunkPages::Open(std::shared_ptr<const FileHandle> file,
+                        const std::string& sensor, const ChunkLocator& locator,
+                        ChunkCache* cache, ChunkPages* out) {
+  out->file_ = std::move(file);
+  out->sensor_ = sensor;
+  out->cache_ = cache;
+  const std::string& path = out->file_->path();
+  out->index_ = cache != nullptr ? cache->GetPageIndex(path, sensor) : nullptr;
+  if (out->index_ == nullptr) {
+    auto built = std::make_shared<ChunkPageIndex>();
+    RETURN_NOT_OK(ReadChunkPageIndex(*out->file_, sensor, locator, built.get()));
+    if (cache != nullptr) cache->PutPageIndex(path, sensor, built);
+    out->index_ = std::move(built);
+  }
+  return Status::OK();
+}
+
+Status ChunkPages::Page(size_t p,
+                        std::shared_ptr<const DecodedPage>* out) const {
+  if (cache_ != nullptr) {
+    *out = cache_->GetPage(file_->path(), sensor_, p);
+    if (*out != nullptr) return Status::OK();
+  }
+  auto page = std::make_shared<DecodedPage>();
+  RETURN_NOT_OK(DecodePage(*file_, *index_, p, &page->ts, &page->values));
+  if (cache_ != nullptr) cache_->PutPage(file_->path(), sensor_, p, page);
+  *out = std::move(page);
+  return Status::OK();
+}
+
+Status ChunkPages::ReadRange(Timestamp t_min, Timestamp t_max,
+                             std::vector<Timestamp>* ts,
+                             std::vector<double>* values) const {
+  ts->clear();
+  values->clear();
+  std::shared_ptr<const DecodedPage> page;
+  for (size_t p = 0; p < size(); ++p) {
+    const PageLocator& pg = index_->pages[p];
+    if (pg.max_t < t_min || pg.min_t > t_max) continue;
+    RETURN_NOT_OK(Page(p, &page));
+    // Pages are sorted (the writer enforces it), so the range filter is a
+    // binary search over the decoded columns.
+    const auto lo = std::lower_bound(page->ts.begin(), page->ts.end(), t_min);
+    const auto hi = std::upper_bound(lo, page->ts.end(), t_max);
+    ts->insert(ts->end(), lo, hi);
+    values->insert(values->end(),
+                   page->values.begin() + (lo - page->ts.begin()),
+                   page->values.begin() + (hi - page->ts.begin()));
+  }
+  return Status::OK();
+}
+
+Status ChunkPages::Aggregate(Timestamp t_min, Timestamp t_max,
+                             RangeStats* stats, size_t* pages_skipped) const {
+  *stats = RangeStats{};
+  if (pages_skipped != nullptr) *pages_skipped = 0;
+  const std::vector<PageLocator>& pages = index_->pages;
+  auto overlaps = [&](const PageLocator& m) {
+    return m.max_t >= t_min && m.min_t <= t_max;
   };
-  auto fold_point = [&](Timestamp t, double v) {
-    if (!have_any) {
-      begin_fold();
-      stats->first = v;
-      stats->first_time = t;
-    }
-    if (!std::isnan(v)) {
-      stats->min = std::min(stats->min, v);
-      stats->max = std::max(stats->max, v);
-      stats->sum += v;
-    }
-    ++stats->count;
-    stats->last = v;
-    stats->last_time = t;
-  };
-  std::vector<Timestamp> page_ts;
-  std::vector<double> page_vals;
+  // The first and last contributing pages are decoded so first/last are
+  // exact; partially covered pages are decoded for filtering; interior
+  // fully covered pages fold from their statistics.
+  size_t first = pages.size(), last = 0;
   for (size_t p = 0; p < pages.size(); ++p) {
-    const PageMeta& m = pages[p];
-    if (!m.contributes) continue;
-    const bool stats_poisoned = std::isnan(m.min_v) ||
-                                std::isnan(m.max_v) || std::isnan(m.sum_v);
-    const bool must_decode = !m.fully_inside ||
-                             static_cast<ptrdiff_t>(p) == first_idx ||
-                             static_cast<ptrdiff_t>(p) == last_idx ||
-                             stats_poisoned;
-    if (!must_decode) {
-      begin_fold();
+    if (!overlaps(pages[p])) continue;
+    if (first == pages.size()) first = p;
+    last = p;
+  }
+  std::shared_ptr<const DecodedPage> page;
+  for (size_t p = first; p < pages.size() && p <= last; ++p) {
+    const PageLocator& m = pages[p];
+    if (!overlaps(m)) continue;
+    const bool fully_inside = m.min_t >= t_min && m.max_t <= t_max;
+    if (fully_inside && p != first && p != last && stats->count > 0 &&
+        m.stats_usable()) {
       stats->min = std::min(stats->min, m.min_v);
       stats->max = std::max(stats->max, m.max_v);
       stats->sum += m.sum_v;
@@ -750,88 +729,17 @@ Status AggregateChunkSpanF64(const uint8_t* chunk, size_t size,
       if (pages_skipped != nullptr) ++(*pages_skipped);
       continue;
     }
-    // Boundary/partial page: batch-decode the whole page (through the
-    // page cache when the caller wired one) and filter.
-    std::shared_ptr<const CachedChunk> cached;
-    if (hooks != nullptr && hooks->lookup) cached = hooks->lookup(p);
-    const std::vector<Timestamp>* pts = nullptr;
-    const std::vector<double>* pvs = nullptr;
-    if (cached != nullptr) {
-      pts = &cached->ts;
-      pvs = &cached->values;
-    } else {
-      ByteReader time_reader(chunk + m.time_buf_pos, m.time_size);
-      RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(time_enc), &time_reader,
-                              m.count, &page_ts));
-      ByteReader value_reader(chunk + m.value_buf_pos, m.value_size);
-      RETURN_NOT_OK(DecodeF64(static_cast<Encoding>(value_enc),
-                              &value_reader, m.count, &page_vals));
-      if (hooks != nullptr && hooks->insert) {
-        auto page = std::make_shared<CachedChunk>();
-        page->ts = page_ts;
-        page->values = page_vals;
-        hooks->insert(p, std::move(page));
-      }
-      pts = &page_ts;
-      pvs = &page_vals;
-    }
-    for (size_t i = 0; i < pts->size(); ++i) {
-      if ((*pts)[i] >= t_min && (*pts)[i] <= t_max) {
-        fold_point((*pts)[i], (*pvs)[i]);
+    RETURN_NOT_OK(Page(p, &page));
+    for (size_t i = 0; i < page->ts.size(); ++i) {
+      if (page->ts[i] >= t_min && page->ts[i] <= t_max) {
+        stats->Fold(page->ts[i], page->values[i]);
       }
     }
   }
   return Status::OK();
 }
 
-}  // namespace
-
-Status TsFileReader::AggregateRangeF64(const std::string& sensor,
-                                       Timestamp t_min, Timestamp t_max,
-                                       RangeStats* stats,
-                                       size_t* pages_skipped) const {
-  *stats = RangeStats{};
-  if (pages_skipped != nullptr) *pages_skipped = 0;
-  auto it = locators_.find(sensor);
-  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
-  if (static_cast<DataType>(it->second.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  const ChunkLocator& locator = it->second;
-  return AggregateChunkSpanF64(data_.data() + locator.offset, locator.length,
-                               sensor, t_min, t_max, stats, pages_skipped,
-                               nullptr);
-}
-
-Status AggregateTsFileChunkF64(const std::string& path,
-                               const std::string& sensor,
-                               const ChunkLocator& locator, Timestamp t_min,
-                               Timestamp t_max,
-                               TsFileReader::RangeStats* stats,
-                               size_t* pages_skipped,
-                               const PageCacheHooks* hooks) {
-  *stats = TsFileReader::RangeStats{};
-  if (pages_skipped != nullptr) *pages_skipped = 0;
-  if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  if (locator.points == 0 || locator.max_t < t_min ||
-      locator.min_t > t_max) {
-    return Status::OK();  // nothing in range; avoid the read entirely
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::vector<uint8_t> chunk(static_cast<size_t>(locator.length));
-  in.seekg(static_cast<std::streamoff>(locator.offset));
-  in.read(reinterpret_cast<char*>(chunk.data()),
-          static_cast<std::streamsize>(chunk.size()));
-  if (!in) return Status::IOError("read failed: " + path);
-  return AggregateChunkSpanF64(chunk.data(), chunk.size(), sensor, t_min,
-                               t_max, stats, pages_skipped, hooks);
-}
-
-void CombineRangeStats(const TsFileReader::RangeStats& part,
-                       TsFileReader::RangeStats* into) {
+void CombineRangeStats(const RangeStats& part, RangeStats* into) {
   if (part.count == 0) return;
   if (into->count == 0) {
     *into = part;
@@ -851,14 +759,93 @@ void CombineRangeStats(const TsFileReader::RangeStats& part,
   }
 }
 
-// --- streaming run cursor ---------------------------------------------------
+// --- reader -----------------------------------------------------------------
 
-namespace {
-// Sliding-window size for RunCursor's buffered reads: big enough that
-// header fields and page stats come out of one read, small enough that an
-// open cursor's raw-byte footprint is negligible next to a decoded page.
-constexpr size_t kRunCursorBufBytes = 4096;
-}  // namespace
+Status TsFileReader::Open() {
+  RETURN_NOT_OK(FileHandle::Open(path_, &file_));
+  bool has_stats = false;
+  RETURN_NOT_OK(ReadFooter(*file_, &locators_, &has_stats));
+  // The head magic must name the version the tail magic does.
+  char head[kMagicLen];
+  RETURN_NOT_OK(file_->ReadAt(0, kMagicLen, head));
+  if (std::memcmp(head, has_stats ? TsFileWriter::kMagicV2 : TsFileWriter::kMagic,
+                  kMagicLen) != 0) {
+    return Status::Corruption("bad head magic");
+  }
+  return Status::OK();
+}
+
+std::vector<std::string> TsFileReader::Sensors() const {
+  std::vector<std::string> out;
+  out.reserve(locators_.size());
+  for (const auto& [sensor, _] : locators_) out.push_back(sensor);
+  return out;
+}
+
+Status TsFileReader::GetDataType(const std::string& sensor,
+                                 DataType* out) const {
+  auto it = locators_.find(sensor);
+  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
+  *out = static_cast<DataType>(it->second.raw_type);
+  return Status::OK();
+}
+
+Status TsFileReader::Chunk(const std::string& sensor, DataType expect,
+                           ChunkPages* out) const {
+  auto it = locators_.find(sensor);
+  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
+  if (static_cast<DataType>(it->second.raw_type) != expect) {
+    return Status::InvalidArgument("data type mismatch for " + sensor);
+  }
+  return ChunkPages::Open(file_, sensor, it->second, nullptr, out);
+}
+
+Status TsFileReader::ReadChunkI64(const std::string& sensor,
+                                  std::vector<Timestamp>* ts,
+                                  std::vector<int64_t>* values) const {
+  ChunkPages pages;
+  RETURN_NOT_OK(Chunk(sensor, DataType::kInt64, &pages));
+  ts->clear();
+  values->clear();
+  std::vector<Timestamp> page_ts;
+  std::vector<int64_t> page_vals;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    RETURN_NOT_OK(
+        DecodePage(pages.file(), pages.index(), p, &page_ts, &page_vals));
+    ts->insert(ts->end(), page_ts.begin(), page_ts.end());
+    values->insert(values->end(), page_vals.begin(), page_vals.end());
+  }
+  return Status::OK();
+}
+
+Status TsFileReader::ReadChunkF64(const std::string& sensor,
+                                  std::vector<Timestamp>* ts,
+                                  std::vector<double>* values) const {
+  return QueryRangeF64(sensor, std::numeric_limits<Timestamp>::min(),
+                       std::numeric_limits<Timestamp>::max(), ts, values);
+}
+
+Status TsFileReader::QueryRangeF64(const std::string& sensor, Timestamp t_min,
+                                   Timestamp t_max,
+                                   std::vector<Timestamp>* ts,
+                                   std::vector<double>* values) const {
+  ChunkPages pages;
+  RETURN_NOT_OK(Chunk(sensor, DataType::kDouble, &pages));
+  return pages.ReadRange(t_min, t_max, ts, values);
+}
+
+Status TsFileReader::AggregateRangeF64(const std::string& sensor,
+                                       Timestamp t_min, Timestamp t_max,
+                                       RangeStats* stats,
+                                       size_t* pages_skipped) const {
+  *stats = RangeStats{};
+  if (pages_skipped != nullptr) *pages_skipped = 0;
+  ChunkPages pages;
+  RETURN_NOT_OK(Chunk(sensor, DataType::kDouble, &pages));
+  return pages.Aggregate(t_min, t_max, stats, pages_skipped);
+}
+
+// --- streaming run cursor ---------------------------------------------------
 
 TsFileReader::RunCursor::RunCursor(std::string path, std::string sensor,
                                    ChunkLocator locator)
@@ -866,238 +853,40 @@ TsFileReader::RunCursor::RunCursor(std::string path, std::string sensor,
       sensor_(std::move(sensor)),
       locator_(locator) {}
 
-Status TsFileReader::RunCursor::NextByte(uint8_t* out) {
-  if (buf_pos_ == buf_len_) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(kRunCursorBufBytes, unread_));
-    if (want == 0) {
-      return Status::Corruption("chunk truncated: " + path_);
-    }
-    buf_.resize(want);
-    in_.read(reinterpret_cast<char*>(buf_.data()),
-             static_cast<std::streamsize>(want));
-    if (in_.gcount() != static_cast<std::streamsize>(want)) {
-      return Status::Corruption("chunk truncated: " + path_);
-    }
-    unread_ -= want;
-    buf_pos_ = 0;
-    buf_len_ = want;
-  }
-  *out = buf_[buf_pos_++];
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::ReadExact(uint8_t* dst, size_t n) {
-  // Drain the window first, then read the remainder straight from the
-  // file (page buffers are usually larger than the window).
-  const size_t from_buf = std::min(n, buf_len_ - buf_pos_);
-  std::memcpy(dst, buf_.data() + buf_pos_, from_buf);
-  buf_pos_ += from_buf;
-  const size_t rest = n - from_buf;
-  if (rest == 0) return Status::OK();
-  if (rest > unread_) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  in_.read(reinterpret_cast<char*>(dst + from_buf),
-           static_cast<std::streamsize>(rest));
-  if (in_.gcount() != static_cast<std::streamsize>(rest)) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  unread_ -= rest;
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::SkipBytes(size_t n) {
-  const size_t from_buf = std::min(n, buf_len_ - buf_pos_);
-  buf_pos_ += from_buf;
-  const size_t rest = n - from_buf;
-  if (rest == 0) return Status::OK();
-  if (rest > unread_) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  in_.seekg(static_cast<std::streamoff>(rest), std::ios::cur);
-  if (!in_) return Status::Corruption("chunk truncated: " + path_);
-  unread_ -= rest;
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::ReadVarint64(uint64_t* out) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    uint8_t byte = 0;
-    RETURN_NOT_OK(NextByte(&byte));
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = result;
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("varint too long: " + path_);
-}
-
-Status TsFileReader::RunCursor::ReadVarintSigned64(int64_t* out) {
-  uint64_t zigzag = 0;
-  RETURN_NOT_OK(ReadVarint64(&zigzag));
-  *out = static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-  return Status::OK();
-}
+TsFileReader::RunCursor::RunCursor(std::shared_ptr<const FileHandle> file,
+                                   std::string sensor, ChunkLocator locator)
+    : path_(file->path()),
+      file_(std::move(file)),
+      sensor_(std::move(sensor)),
+      locator_(locator) {}
 
 Status TsFileReader::RunCursor::Open() {
   if (locator_.points == 0) {
     done_ = true;
     return Status::OK();
   }
-  in_.open(path_, std::ios::binary);
-  if (!in_) return Status::IOError("cannot open for read: " + path_);
-  in_.seekg(static_cast<std::streamoff>(locator_.offset));
-  if (!in_) return Status::Corruption("chunk offset beyond file: " + path_);
-  unread_ = locator_.length;
-
-  // Chunk header: sensor, type, encodings, page count — the same field
-  // sequence DecodeChunkSpan parses.
-  uint64_t name_len = 0;
-  RETURN_NOT_OK(ReadVarint64(&name_len));
-  if (name_len > locator_.length) {
-    return Status::Corruption("chunk sensor name overruns chunk: " + path_);
-  }
-  std::string stored_sensor(name_len, '\0');
-  RETURN_NOT_OK(
-      ReadExact(reinterpret_cast<uint8_t*>(stored_sensor.data()), name_len));
-  if (stored_sensor != sensor_) {
-    return Status::Corruption("chunk header sensor mismatch: " + path_);
-  }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(NextByte(&type));
-  RETURN_NOT_OK(NextByte(&time_enc));
-  RETURN_NOT_OK(NextByte(&value_enc));
-  if (static_cast<DataType>(type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor_);
-  }
-  time_enc_ = static_cast<Encoding>(time_enc);
-  value_enc_ = static_cast<Encoding>(value_enc);
-  RETURN_NOT_OK(ReadVarint64(&pages_remaining_));
+  if (file_ == nullptr) RETURN_NOT_OK(FileHandle::Open(path_, &file_));
+  RETURN_NOT_OK(ChunkPages::Open(file_, sensor_, locator_, nullptr, &pages_));
   return LoadNextPage();
 }
 
 Status TsFileReader::RunCursor::LoadNextPage() {
-  while (pages_remaining_ > 0) {
-    --pages_remaining_;
-    uint64_t count = 0;
-    RETURN_NOT_OK(ReadVarint64(&count));
-    if (count > locator_.points) {
-      return Status::Corruption("page count exceeds chunk points: " + path_);
+  while (next_page_ < pages_.size()) {
+    RETURN_NOT_OK(pages_.Page(next_page_++, &page_));
+    if (!page_->ts.empty()) {
+      page_idx_ = 0;
+      return Status::OK();
     }
-    int64_t page_min = 0, page_max = 0;
-    RETURN_NOT_OK(ReadVarintSigned64(&page_min));
-    RETURN_NOT_OK(ReadVarintSigned64(&page_max));
-    RETURN_NOT_OK(SkipBytes(3 * 8));  // value stats: min, max, sum
-    uint64_t time_size = 0;
-    RETURN_NOT_OK(ReadVarint64(&time_size));
-    if (time_size > locator_.length) {
-      return Status::Corruption("page time buffer overruns chunk: " + path_);
-    }
-    if (count == 0) {
-      RETURN_NOT_OK(SkipBytes(time_size));
-      uint64_t value_size = 0;
-      RETURN_NOT_OK(ReadVarint64(&value_size));
-      RETURN_NOT_OK(SkipBytes(value_size));
-      continue;
-    }
-    scratch_.resize(time_size);
-    RETURN_NOT_OK(ReadExact(scratch_.data(), time_size));
-    {
-      ByteReader time_reader(scratch_.data(), time_size);
-      RETURN_NOT_OK(DecodeI64(time_enc_, &time_reader, count, &page_ts_));
-    }
-    uint64_t value_size = 0;
-    RETURN_NOT_OK(ReadVarint64(&value_size));
-    if (value_size > locator_.length) {
-      return Status::Corruption("page value buffer overruns chunk: " + path_);
-    }
-    scratch_.resize(value_size);
-    RETURN_NOT_OK(ReadExact(scratch_.data(), value_size));
-    {
-      ByteReader value_reader(scratch_.data(), value_size);
-      RETURN_NOT_OK(DecodeF64(value_enc_, &value_reader, count, &page_vals_));
-    }
-    if (page_ts_.size() != count || page_vals_.size() != count) {
-      return Status::Corruption("page decode count mismatch: " + path_);
-    }
-    page_idx_ = 0;
-    ++pages_decoded_;
-    return Status::OK();
   }
   done_ = true;
-  page_ts_.clear();
-  page_vals_.clear();
+  page_.reset();
   return Status::OK();
 }
 
 Status TsFileReader::RunCursor::Advance() {
   if (done_) return Status::InvalidArgument("cursor already done");
-  if (++page_idx_ < page_ts_.size()) return Status::OK();
+  if (++page_idx_ < page_->ts.size()) return Status::OK();
   return LoadNextPage();
-}
-
-// --- standalone footer/chunk reads ------------------------------------------
-
-Status ReadTsFileFooter(const std::string& path, FooterMap* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  if (file_size < 2 * kMagicLen + 8) {
-    return Status::Corruption("file too small for header/footer");
-  }
-
-  // Tail = fixed64 index offset + magic. The tail magic names the format
-  // version (this is a tail-only read, so the head magic is never seen):
-  // BSTF2 index entries carry value statistics, BSTF1 entries do not.
-  uint8_t tail[8 + kMagicLen];
-  in.seekg(static_cast<std::streamoff>(file_size - sizeof(tail)));
-  in.read(reinterpret_cast<char*>(tail), sizeof(tail));
-  if (!in) return Status::IOError("read failed: " + path);
-  bool has_stats = false;
-  if (std::memcmp(tail + 8, TsFileWriter::kMagicV2, kMagicLen) == 0) {
-    has_stats = true;
-  } else if (std::memcmp(tail + 8, TsFileWriter::kMagic, kMagicLen) != 0) {
-    return Status::Corruption("bad tail magic (truncated file?)");
-  }
-  ByteReader tail_reader(tail, 8);
-  uint64_t index_offset = 0;
-  RETURN_NOT_OK(tail_reader.GetFixed64(&index_offset));
-  if (index_offset >= file_size - sizeof(tail) || index_offset < kMagicLen) {
-    return Status::Corruption("index offset out of bounds");
-  }
-
-  const size_t block_size =
-      static_cast<size_t>(file_size - sizeof(tail) - index_offset);
-  std::vector<uint8_t> block(block_size);
-  in.seekg(static_cast<std::streamoff>(index_offset));
-  in.read(reinterpret_cast<char*>(block.data()),
-          static_cast<std::streamsize>(block_size));
-  if (!in) return Status::IOError("read failed: " + path);
-  return ParseIndexBlock(block.data(), block.size(), index_offset, file_size,
-                         has_stats, out);
-}
-
-Status ReadTsFileChunkF64(const std::string& path, const std::string& sensor,
-                          const ChunkLocator& locator,
-                          std::vector<Timestamp>* ts,
-                          std::vector<double>* values) {
-  if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::vector<uint8_t> chunk(static_cast<size_t>(locator.length));
-  in.seekg(static_cast<std::streamoff>(locator.offset));
-  in.read(reinterpret_cast<char*>(chunk.data()),
-          static_cast<std::streamsize>(chunk.size()));
-  if (!in) return Status::IOError("read failed: " + path);
-  return DecodeChunkSpan(chunk.data(), chunk.size(), sensor,
-                         DataType::kDouble,
-                         std::numeric_limits<Timestamp>::min(),
-                         std::numeric_limits<Timestamp>::max(), ts, values);
 }
 
 Status SyncFileToDisk(const std::string& path) {

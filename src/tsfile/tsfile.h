@@ -1,10 +1,10 @@
 #ifndef BACKSORT_TSFILE_TSFILE_H_
 #define BACKSORT_TSFILE_TSFILE_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -205,13 +205,6 @@ class TsFileWriter {
   /// Head/tail magic for the configured format version.
   const char* magic() const { return footer_stats_ ? kMagicV2 : kMagic; }
 
-  template <typename V>
-  Status WriteChunkImpl(std::string_view sensor,
-                        const std::vector<Timestamp>& ts,
-                        const std::vector<V>& values, DataType type,
-                        Encoding time_enc, Encoding value_enc,
-                        size_t points_per_page);
-
   /// Absolute position the next appended byte lands at in the final file:
   /// bytes already spilled to disk plus the current buffer. With no spill
   /// threshold this is just buffer_.size(), so offsets match the original
@@ -248,11 +241,143 @@ class TsFileWriter {
   ValueStats chunk_stats_;
 };
 
-/// Read side. The file is slurped into memory on Open (flush files in this
-/// repository are MB-scale); all accessors are bounds-checked and return
-/// Corruption on damaged input.
+// --- read side ---------------------------------------------------------------
+//
+// Every sealed-file read goes one way: a FileHandle (one pread descriptor
+// per file), the footer (ReadTsFileFooter) for the chunk locator, the
+// chunk's page index (parsed by the one page-header parser), and a decode
+// of exactly the pages a time range overlaps. ChunkPages ties these to an
+// optional ChunkCache; TsFileReader, RunCursor, the engine's
+// Query/AggregateFast and recovery all read through it.
+
+/// Read-only handle on one sealed file, read by offset with pread(2): it
+/// has no file position, so one handle serves concurrent readers.
+class FileHandle {
+ public:
+  static Status Open(const std::string& path,
+                     std::shared_ptr<const FileHandle>* out);
+  ~FileHandle();
+
+  FileHandle(const FileHandle&) = delete;
+  FileHandle& operator=(const FileHandle&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// Size when opened (sealed files never change afterwards).
+  uint64_t size() const { return size_; }
+
+  /// Reads exactly `n` bytes at `offset`. Offsets come from the file's own
+  /// metadata, so bytes missing past the end are Corruption (a truncated
+  /// file); an OS read error is IOError.
+  Status ReadAt(uint64_t offset, size_t n, void* dst) const;
+
+ private:
+  FileHandle(std::string path, int fd, uint64_t size)
+      : path_(std::move(path)), fd_(fd), size_(size) {}
+
+  std::string path_;
+  int fd_;
+  uint64_t size_;
+};
+
+/// Tail-only footer read: parses the index block of a sealed TsFile into
+/// per-sensor chunk locators without reading any chunk. Checks the tail
+/// magic (which names the format version) and the index bounds.
+Status ReadTsFileFooter(const FileHandle& file, FooterMap* out);
+
+/// An aggregate over a time range.
+///
+/// NaN semantics (documented contract, pinned by tests): NaN values are
+/// excluded from min/max/sum but included in count and first/last. A
+/// range whose matches are all NaN reports min=+inf, max=-inf, sum=0.
+struct RangeStats {
+  size_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  Timestamp first_time = 0;
+  double first = 0.0;
+  Timestamp last_time = 0;
+  double last = 0.0;
+
+  /// Folds one point; points arrive in time order.
+  void Fold(Timestamp t, double v) {
+    if (count == 0) {
+      first = v;
+      first_time = t;
+      min = std::numeric_limits<double>::infinity();
+      max = -std::numeric_limits<double>::infinity();
+    }
+    if (!std::isnan(v)) {
+      min = std::min(min, v);
+      max = std::max(max, v);
+      sum += v;
+    }
+    ++count;
+    last = v;
+    last_time = t;
+  }
+};
+
+/// Merges the partial aggregate `part` into `*into`. Partials must come
+/// from duplicate-free sources (the engine guarantees sequence chunks are
+/// mutually disjoint per sensor): counts and sums add, min/max combine,
+/// first/last resolve by timestamp. A partial with count == 0 is a no-op;
+/// so is merging into an empty `*into` except that `part` is copied in.
+void CombineRangeStats(const RangeStats& part, RangeStats* into);
+
+/// One double chunk's pages: the file handle, the chunk's page index and
+/// an optional ChunkCache through which the index and decoded pages are
+/// looked up and inserted (under the file's path, so InvalidateFile drops
+/// them). Without a cache, or with a disabled one, the same code runs and
+/// every lookup misses. Cheap to copy; holds the index by shared_ptr.
+class ChunkPages {
+ public:
+  /// Takes the page index from `cache` or builds it from the chunk's
+  /// headers and inserts it. `cache` may be null. Corruption when the
+  /// chunk lies outside the file, its header names another sensor or type
+  /// than the footer, it holds more pages or points than
+  /// `locator.points`, a header is truncated, or a time or value buffer
+  /// overruns the chunk.
+  static Status Open(std::shared_ptr<const FileHandle> file,
+                     const std::string& sensor, const ChunkLocator& locator,
+                     ChunkCache* cache, ChunkPages* out);
+
+  const FileHandle& file() const { return *file_; }
+  const ChunkPageIndex& index() const { return *index_; }
+  size_t size() const { return index_->pages.size(); }
+
+  /// Decoded page `p`, from the cache or decoded and inserted.
+  Status Page(size_t p, std::shared_ptr<const DecodedPage>* out) const;
+
+  /// The points in [t_min, t_max], decoding only the pages that overlap.
+  Status ReadRange(Timestamp t_min, Timestamp t_max,
+                   std::vector<Timestamp>* ts,
+                   std::vector<double>* values) const;
+
+  /// Aggregates [t_min, t_max] with page-statistics pushdown: interior
+  /// pages fully inside the range fold from the index's statistics; the
+  /// first and last contributing pages, partially covered pages and pages
+  /// with NaN-poisoned statistics are decoded and filtered. `pages_skipped`
+  /// (optional) counts pages served from statistics. Resets `*stats`;
+  /// count == 0 means nothing matched.
+  Status Aggregate(Timestamp t_min, Timestamp t_max, RangeStats* stats,
+                   size_t* pages_skipped = nullptr) const;
+
+ private:
+  std::shared_ptr<const FileHandle> file_;
+  std::string sensor_;
+  ChunkCache* cache_ = nullptr;
+  std::shared_ptr<const ChunkPageIndex> index_;
+};
+
+/// Standalone reader of one sealed file: footer plus page index, no
+/// cache. Open reads the head magic and the footer; chunk reads then go
+/// page by page. All accessors are bounds-checked and return Corruption
+/// on damaged input.
 class TsFileReader {
  public:
+  using RangeStats = backsort::RangeStats;
+
   explicit TsFileReader(std::string path) : path_(std::move(path)) {}
 
   Status Open();
@@ -271,24 +396,7 @@ class TsFileReader {
                        Timestamp t_max, std::vector<Timestamp>* ts,
                        std::vector<double>* values) const;
 
-  /// Aggregation with statistics pushdown: pages fully inside [t_min,
-  /// t_max] contribute their stored count/sum/min/max without being
-  /// decoded; boundary pages are decoded and filtered. `pages_skipped`
-  /// (optional) reports how many pages were served from statistics.
-  ///
-  /// NaN semantics (documented contract, pinned by tests): NaN values are
-  /// excluded from min/max/sum but included in count and first/last. A
-  /// range whose matches are all NaN reports min=+inf, max=-inf, sum=0.
-  struct RangeStats {
-    size_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    Timestamp first_time = 0;
-    double first = 0.0;
-    Timestamp last_time = 0;
-    double last = 0.0;
-  };
+  /// ChunkPages::Aggregate over `sensor`'s chunk (same NaN semantics).
   Status AggregateRangeF64(const std::string& sensor, Timestamp t_min,
                            Timestamp t_max, RangeStats* stats,
                            size_t* pages_skipped = nullptr) const;
@@ -298,24 +406,26 @@ class TsFileReader {
   /// and recovery time.
   const FooterMap& Locators() const { return locators_; }
 
-  /// Streaming cursor over one sensor's chunk: decodes one page at a time
-  /// from its own file handle instead of slurping the chunk (or file) like
-  /// ReadChunkF64. This is the compaction merge's input — resident memory
-  /// per open run is one decoded page plus a small read buffer, regardless
-  /// of chunk size. Standalone by design: it needs only the path and the
-  /// footer's ChunkLocator, not an open TsFileReader.
+  /// Streaming cursor over one sensor's chunk, one decoded page at a time
+  /// — the compaction merge's input. Resident memory per open run is the
+  /// page index plus one decoded page, regardless of chunk size.
+  /// Standalone by design: it needs only a file (path or shared handle)
+  /// and the footer's ChunkLocator, not an open TsFileReader.
   class RunCursor {
    public:
     RunCursor(std::string path, std::string sensor, ChunkLocator locator);
+    RunCursor(std::shared_ptr<const FileHandle> file, std::string sensor,
+              ChunkLocator locator);
 
-    /// Opens the file, parses the chunk header and decodes the first
-    /// page. A cursor over an empty chunk opens already done().
+    /// Opens the file (when given a path), builds the page index and
+    /// decodes the first page. A cursor over an empty chunk opens already
+    /// done().
     Status Open();
 
     bool done() const { return done_; }
     /// Current point; valid while !done().
-    Timestamp time() const { return page_ts_[page_idx_]; }
-    double value() const { return page_vals_[page_idx_]; }
+    Timestamp time() const { return page_->ts[page_idx_]; }
+    double value() const { return page_->values[page_idx_]; }
 
     /// Moves to the next point, decoding the next page when the current
     /// one is exhausted (the only I/O after Open).
@@ -323,99 +433,33 @@ class TsFileReader {
 
     /// Points in the currently decoded page — the cursor's entire decoded
     /// footprint (the streaming-memory tests pin fan-in × this).
-    size_t page_points() const { return page_ts_.size(); }
-    size_t pages_decoded() const { return pages_decoded_; }
+    size_t page_points() const { return done_ ? 0 : page_->ts.size(); }
+    size_t pages_decoded() const { return next_page_; }
 
    private:
-    Status ReadExact(uint8_t* dst, size_t n);
-    Status SkipBytes(size_t n);
-    Status NextByte(uint8_t* out);
-    Status ReadVarint64(uint64_t* out);
-    Status ReadVarintSigned64(int64_t* out);
     Status LoadNextPage();
 
     std::string path_;
+    std::shared_ptr<const FileHandle> file_;
     std::string sensor_;
     ChunkLocator locator_;
-    std::ifstream in_;
-    uint64_t unread_ = 0;  // chunk-span bytes not yet read from the file
-    std::vector<uint8_t> buf_;  // small sliding read window
-    size_t buf_pos_ = 0;
-    size_t buf_len_ = 0;
-    Encoding time_enc_ = Encoding::kTs2Diff;
-    Encoding value_enc_ = Encoding::kGorilla;
-    uint64_t pages_remaining_ = 0;
-    std::vector<Timestamp> page_ts_;
-    std::vector<double> page_vals_;
-    std::vector<uint8_t> scratch_;  // one encoded page buffer at a time
+    ChunkPages pages_;
+    size_t next_page_ = 0;
+    std::shared_ptr<const DecodedPage> page_;
     size_t page_idx_ = 0;
     bool done_ = false;
-    size_t pages_decoded_ = 0;
   };
 
  private:
-  template <typename V>
-  Status ReadChunkImpl(const std::string& sensor, DataType expect_type,
-                       Timestamp t_min, Timestamp t_max,
-                       std::vector<Timestamp>* ts,
-                       std::vector<V>* values) const;
+  /// Page reader over `sensor`'s chunk; NotFound / InvalidArgument when
+  /// the footer has no such sensor or it is not of `expect` type.
+  Status Chunk(const std::string& sensor, DataType expect,
+               ChunkPages* out) const;
 
   std::string path_;
-  std::vector<uint8_t> data_;
+  std::shared_ptr<const FileHandle> file_;
   FooterMap locators_;
 };
-
-/// Tail-only footer read: parses the index block of a sealed TsFile (the
-/// last few KB of the file) into per-sensor chunk locators without
-/// slurping any chunk data. This is the read path's source of pruning and
-/// seek metadata when the footer is not already cached.
-Status ReadTsFileFooter(const std::string& path, FooterMap* out);
-
-/// Reads and decodes exactly one sensor's chunk — a seek + one
-/// `locator.length`-byte read, independent of file size — returning the
-/// full sorted column pair. Pair with ReadTsFileFooter for cache fills:
-/// the decoded chunk is what the ChunkCache stores and every query range
-/// then filters with binary search.
-Status ReadTsFileChunkF64(const std::string& path, const std::string& sensor,
-                          const ChunkLocator& locator,
-                          std::vector<Timestamp>* ts,
-                          std::vector<double>* values);
-
-/// Optional per-page decoded-column cache for AggregateTsFileChunkF64.
-/// `lookup` returns the decoded columns of page `index` within the chunk
-/// (nullptr on miss); `insert` receives each freshly decoded page so
-/// repeated boundary-page aggregations skip decode. One cache entry = one
-/// decoded page; the engine wires these to the shared ChunkCache under a
-/// synthesized per-page key so InvalidateFile still drops them.
-struct PageCacheHooks {
-  std::function<std::shared_ptr<const CachedChunk>(size_t page_index)> lookup;
-  std::function<void(size_t page_index,
-                     std::shared_ptr<const CachedChunk>)> insert;
-};
-
-/// Aggregates one sensor chunk over [t_min, t_max] with a seek + one
-/// `locator.length`-byte read — never slurping the file. Pages fully
-/// inside the range fold from their stored statistics; boundary pages are
-/// batch-decoded (through `hooks`, when provided) and filtered. This is
-/// the engine's tier-2 plan for chunks the footer statistics alone cannot
-/// answer (partial range overlap). Same NaN semantics and reset-on-entry
-/// behavior as TsFileReader::AggregateRangeF64; count == 0 means nothing
-/// matched. Partials from several chunks combine with CombineRangeStats.
-Status AggregateTsFileChunkF64(const std::string& path,
-                               const std::string& sensor,
-                               const ChunkLocator& locator, Timestamp t_min,
-                               Timestamp t_max,
-                               TsFileReader::RangeStats* stats,
-                               size_t* pages_skipped = nullptr,
-                               const PageCacheHooks* hooks = nullptr);
-
-/// Merges the partial aggregate `part` into `*into`. Partials must come
-/// from duplicate-free sources (the engine guarantees sequence chunks are
-/// mutually disjoint per sensor): counts and sums add, min/max combine,
-/// first/last resolve by timestamp. A partial with count == 0 is a no-op;
-/// so is merging into an empty `*into` except that `part` is copied in.
-void CombineRangeStats(const TsFileReader::RangeStats& part,
-                       TsFileReader::RangeStats* into);
 
 /// ::fsync an existing file's contents to the storage device. TsFileWriter
 /// (ofstream-backed) only flushes to the OS cache; paths that delete

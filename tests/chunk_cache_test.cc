@@ -1,5 +1,6 @@
 // Unit tests for the sharded LRU ChunkCache (src/common/chunk_cache.h):
-// hit/miss accounting, byte-bounded LRU eviction, footer caching,
+// hit/miss accounting, byte-bounded LRU eviction, footer, page-index and
+// page entries,
 // per-file invalidation, the disabled (capacity 0) mode, and a
 // multi-threaded smoke run. Engine-level cache behaviour (compaction
 // invalidation, repeated queries served from cache) lives in
@@ -17,34 +18,56 @@
 namespace backsort {
 namespace {
 
-std::shared_ptr<const CachedChunk> MakeChunk(size_t points, double base) {
-  auto chunk = std::make_shared<CachedChunk>();
-  chunk->ts.reserve(points);
-  chunk->values.reserve(points);
+std::shared_ptr<const DecodedPage> MakePage(size_t points, double base) {
+  auto page = std::make_shared<DecodedPage>();
+  page->ts.reserve(points);
+  page->values.reserve(points);
   for (size_t i = 0; i < points; ++i) {
-    chunk->ts.push_back(static_cast<Timestamp>(i));
-    chunk->values.push_back(base + static_cast<double>(i));
+    page->ts.push_back(static_cast<Timestamp>(i));
+    page->values.push_back(base + static_cast<double>(i));
   }
-  return chunk;
+  return page;
 }
 
 TEST(ChunkCacheTest, MissThenHit) {
   ChunkCache cache(1 << 20);
   ASSERT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.GetChunk("f1", "s1"), nullptr);
-  cache.PutChunk("f1", "s1", MakeChunk(10, 0.0));
-  const auto hit = cache.GetChunk("f1", "s1");
+  EXPECT_EQ(cache.GetPage("f1", "s1", 0), nullptr);
+  cache.PutPage("f1", "s1", 0, MakePage(10, 0.0));
+  const auto hit = cache.GetPage("f1", "s1", 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->ts.size(), 10u);
   EXPECT_DOUBLE_EQ(hit->values[3], 3.0);
   // Same file, other sensor: distinct key.
-  EXPECT_EQ(cache.GetChunk("f1", "s2"), nullptr);
+  EXPECT_EQ(cache.GetPage("f1", "s2", 0), nullptr);
   const ChunkCacheStats stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_EQ(stats.capacity_bytes, 1u << 20);
+}
+
+TEST(ChunkCacheTest, PageIndexAndPagesAreDistinctEntries) {
+  ChunkCache cache(1 << 20);
+  auto index = std::make_shared<ChunkPageIndex>();
+  index->pages.resize(3);
+  cache.PutPageIndex("f1", "s1", index);
+  cache.PutPage("f1", "s1", 0, MakePage(10, 0.0));
+  cache.PutPage("f1", "s1", 1, MakePage(10, 100.0));
+  const auto got_index = cache.GetPageIndex("f1", "s1");
+  ASSERT_NE(got_index, nullptr);
+  EXPECT_EQ(got_index->pages.size(), 3u);
+  EXPECT_DOUBLE_EQ(cache.GetPage("f1", "s1", 1)->values[0], 100.0);
+  EXPECT_EQ(cache.GetPage("f1", "s1", 2), nullptr);
+  EXPECT_EQ(cache.GetPageIndex("f1", "s2"), nullptr);
+  // Page-index and page lookups share the hit/miss counters.
+  ChunkCacheStats stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 3u);
+  cache.InvalidateFile("f1");
+  EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 TEST(ChunkCacheTest, FooterRoundTrip) {
@@ -66,7 +89,7 @@ TEST(ChunkCacheTest, FooterRoundTrip) {
   const ChunkCacheStats stats = cache.GetStats();
   EXPECT_EQ(stats.footer_hits, 1u);
   EXPECT_EQ(stats.footer_misses, 1u);
-  // Footer lookups do not touch the chunk counters.
+  // Footer lookups do not touch the page counters.
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
 }
@@ -74,8 +97,8 @@ TEST(ChunkCacheTest, FooterRoundTrip) {
 TEST(ChunkCacheTest, DisabledCacheIsInert) {
   ChunkCache cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.PutChunk("f1", "s1", MakeChunk(10, 0.0));
-  EXPECT_EQ(cache.GetChunk("f1", "s1"), nullptr);
+  cache.PutPage("f1", "s1", 0, MakePage(10, 0.0));
+  EXPECT_EQ(cache.GetPage("f1", "s1", 0), nullptr);
   cache.PutFooter("f1", std::make_shared<const FooterIndex>());
   EXPECT_EQ(cache.GetFooter("f1"), nullptr);
   cache.InvalidateFile("f1");
@@ -90,17 +113,17 @@ TEST(ChunkCacheTest, DisabledCacheIsInert) {
 TEST(ChunkCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
   // All keys of one file land in one cache shard, so a tiny capacity
   // forces evictions deterministically regardless of the hash.
-  const size_t chunk_bytes = MakeChunk(100, 0.0)->ApproxBytes();
-  // Shard capacity fits about two chunks.
-  ChunkCache cache(chunk_bytes * 2 * 16);
-  cache.PutChunk("f1", "a", MakeChunk(100, 1.0));
-  cache.PutChunk("f1", "b", MakeChunk(100, 2.0));
+  const size_t page_bytes = MakePage(100, 0.0)->ApproxBytes();
+  // Shard capacity fits about two pages.
+  ChunkCache cache(page_bytes * 2 * 16);
+  cache.PutPage("f1", "a", 0, MakePage(100, 1.0));
+  cache.PutPage("f1", "b", 0, MakePage(100, 2.0));
   // Touch "a" so "b" is the LRU entry.
-  ASSERT_NE(cache.GetChunk("f1", "a"), nullptr);
-  cache.PutChunk("f1", "c", MakeChunk(100, 3.0));
-  EXPECT_EQ(cache.GetChunk("f1", "b"), nullptr) << "LRU entry survived";
-  EXPECT_NE(cache.GetChunk("f1", "a"), nullptr);
-  EXPECT_NE(cache.GetChunk("f1", "c"), nullptr);
+  ASSERT_NE(cache.GetPage("f1", "a", 0), nullptr);
+  cache.PutPage("f1", "c", 0, MakePage(100, 3.0));
+  EXPECT_EQ(cache.GetPage("f1", "b", 0), nullptr) << "LRU entry survived";
+  EXPECT_NE(cache.GetPage("f1", "a", 0), nullptr);
+  EXPECT_NE(cache.GetPage("f1", "c", 0), nullptr);
   EXPECT_GT(cache.GetStats().evictions, 0u);
 }
 
@@ -109,48 +132,48 @@ TEST(ChunkCacheTest, OversizedEntryStillServesRepeats) {
   // never self-evicted) so a scan bigger than the cache still benefits
   // from immediate re-reads.
   ChunkCache cache(1024);
-  const auto big = MakeChunk(10'000, 0.0);
+  const auto big = MakePage(10'000, 0.0);
   ASSERT_GT(big->ApproxBytes(), size_t{1024});
-  cache.PutChunk("f1", "s1", big);
-  EXPECT_NE(cache.GetChunk("f1", "s1"), nullptr);
+  cache.PutPage("f1", "s1", 0, big);
+  EXPECT_NE(cache.GetPage("f1", "s1", 0), nullptr);
   // The next insert into the same shard displaces it.
-  cache.PutChunk("f1", "s2", MakeChunk(10, 0.0));
-  EXPECT_EQ(cache.GetChunk("f1", "s1"), nullptr);
+  cache.PutPage("f1", "s2", 0, MakePage(10, 0.0));
+  EXPECT_EQ(cache.GetPage("f1", "s1", 0), nullptr);
 }
 
 TEST(ChunkCacheTest, EvictedEntryStaysValidForHolders) {
   ChunkCache cache(1024);
-  cache.PutChunk("f1", "s1", MakeChunk(100, 7.0));
-  const auto held = cache.GetChunk("f1", "s1");
+  cache.PutPage("f1", "s1", 0, MakePage(100, 7.0));
+  const auto held = cache.GetPage("f1", "s1", 0);
   ASSERT_NE(held, nullptr);
   // Force the held entry out.
-  cache.PutChunk("f1", "s2", MakeChunk(100, 8.0));
-  cache.PutChunk("f1", "s3", MakeChunk(100, 9.0));
-  // The shared_ptr keeps the evicted chunk alive and intact.
+  cache.PutPage("f1", "s2", 0, MakePage(100, 8.0));
+  cache.PutPage("f1", "s3", 0, MakePage(100, 9.0));
+  // The shared_ptr keeps the evicted page alive and intact.
   EXPECT_EQ(held->ts.size(), 100u);
   EXPECT_DOUBLE_EQ(held->values[0], 7.0);
 }
 
 TEST(ChunkCacheTest, InvalidateFileDropsAllItsEntriesOnly) {
   ChunkCache cache(1 << 20);
-  cache.PutChunk("f1", "s1", MakeChunk(10, 0.0));
-  cache.PutChunk("f1", "s2", MakeChunk(10, 0.0));
+  cache.PutPage("f1", "s1", 0, MakePage(10, 0.0));
+  cache.PutPage("f1", "s2", 0, MakePage(10, 0.0));
   cache.PutFooter("f1", std::make_shared<const FooterIndex>());
-  cache.PutChunk("f2", "s1", MakeChunk(10, 0.0));
+  cache.PutPage("f2", "s1", 0, MakePage(10, 0.0));
   const uint64_t evictions_before = cache.GetStats().evictions;
   cache.InvalidateFile("f1");
-  EXPECT_EQ(cache.GetChunk("f1", "s1"), nullptr);
-  EXPECT_EQ(cache.GetChunk("f1", "s2"), nullptr);
+  EXPECT_EQ(cache.GetPage("f1", "s1", 0), nullptr);
+  EXPECT_EQ(cache.GetPage("f1", "s2", 0), nullptr);
   EXPECT_EQ(cache.GetFooter("f1"), nullptr);
-  EXPECT_NE(cache.GetChunk("f2", "s1"), nullptr);
+  EXPECT_NE(cache.GetPage("f2", "s1", 0), nullptr);
   // Invalidations are not counted as evictions.
   EXPECT_EQ(cache.GetStats().evictions, evictions_before);
 }
 
 TEST(ChunkCacheTest, ByteAccountingReturnsToZero) {
   ChunkCache cache(1 << 20);
-  cache.PutChunk("f1", "s1", MakeChunk(50, 0.0));
-  cache.PutChunk("f2", "s1", MakeChunk(50, 0.0));
+  cache.PutPage("f1", "s1", 0, MakePage(50, 0.0));
+  cache.PutPage("f2", "s1", 0, MakePage(50, 0.0));
   cache.PutFooter("f1", std::make_shared<const FooterIndex>());
   EXPECT_GT(cache.GetStats().bytes, 0u);
   EXPECT_EQ(cache.GetStats().entries, 3u);
@@ -162,12 +185,12 @@ TEST(ChunkCacheTest, ByteAccountingReturnsToZero) {
 
 TEST(ChunkCacheTest, ReplacingAKeyKeepsAccountingConsistent) {
   ChunkCache cache(1 << 20);
-  cache.PutChunk("f1", "s1", MakeChunk(10, 0.0));
+  cache.PutPage("f1", "s1", 0, MakePage(10, 0.0));
   const uint64_t bytes_small = cache.GetStats().bytes;
-  cache.PutChunk("f1", "s1", MakeChunk(1000, 0.0));
+  cache.PutPage("f1", "s1", 0, MakePage(1000, 0.0));
   EXPECT_EQ(cache.GetStats().entries, 1u);
   EXPECT_GT(cache.GetStats().bytes, bytes_small);
-  const auto hit = cache.GetChunk("f1", "s1");
+  const auto hit = cache.GetPage("f1", "s1", 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->ts.size(), 1000u);
 }
@@ -175,7 +198,7 @@ TEST(ChunkCacheTest, ReplacingAKeyKeepsAccountingConsistent) {
 TEST(ChunkCacheTest, ConcurrentMixedTrafficSmoke) {
   // Hammer a small cache from several threads mixing puts, gets and
   // invalidations; run under TSan via tools/ci.sh. Correctness here is
-  // "no crash/race and hits return intact chunks".
+  // "no crash/race and hits return intact pages".
   ChunkCache cache(64 << 10);
   constexpr int kThreads = 8;
   constexpr int kOps = 2'000;
@@ -187,14 +210,14 @@ TEST(ChunkCacheTest, ConcurrentMixedTrafficSmoke) {
         const std::string sensor = "s" + std::to_string(t % 3);
         switch (i % 4) {
           case 0:
-            cache.PutChunk(file, sensor,
-                           MakeChunk(32, static_cast<double>(t) * 100));
+            cache.PutPage(file, sensor, 0,
+                           MakePage(32, static_cast<double>(t) * 100));
             break;
           case 3:
             if (i % 97 == 0) cache.InvalidateFile(file);
             break;
           default: {
-            const auto hit = cache.GetChunk(file, sensor);
+            const auto hit = cache.GetPage(file, sensor, 0);
             if (hit != nullptr) {
               ASSERT_EQ(hit->ts.size(), 32u);
               ASSERT_EQ(hit->ts.size(), hit->values.size());

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -555,6 +556,47 @@ TEST_F(CompactionTest, CompactPreservesQueryAndAggregate) {
   EXPECT_GE(snap.compaction_input_files, 3u);
   EXPECT_GT(snap.compaction_output_bytes, 0u);
   EXPECT_EQ(snap.compaction_failures, 0u);
+}
+
+TEST_F(CompactionTest, FullCompactionRewritesEachLevelOnce) {
+  EngineOptions opt = Options();
+  opt.compaction_max_fanin = 2;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  constexpr size_t kFiles = 16;
+  for (size_t f = 0; f < kFiles; ++f) {
+    for (Timestamp t = 0; t < 500; ++t) {
+      const Timestamp at = static_cast<Timestamp>(f) * 500 + t;
+      ASSERT_TRUE(engine.Write("a", at, static_cast<double>(at)).ok());
+      ASSERT_TRUE(engine.Write("b", at, std::sin(static_cast<double>(at))).ok());
+    }
+    ASSERT_TRUE(engine.FlushAll().ok());
+  }
+  ASSERT_EQ(engine.sealed_file_count(), kFiles);
+  std::vector<TvPairDouble> before_a, before_b;
+  ASSERT_TRUE(engine.Query("a", 0, 1'000'000, &before_a).ok());
+  ASSERT_TRUE(engine.Query("b", 0, 1'000'000, &before_b).ok());
+
+  ASSERT_TRUE(engine.Compact().ok());
+  ASSERT_EQ(engine.sealed_file_count(), 1u);
+  uint64_t final_bytes = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().extension() == ".bstf") {
+      final_bytes = std::filesystem::file_size(e.path());
+    }
+  }
+  ASSERT_GT(final_bytes, 0u);
+  // Level by level, every point is rewritten once per level: log2(16) = 4
+  // levels. Re-merging a growing output would write ~8.4x the final size.
+  const uint64_t written = engine.GetMetricsSnapshot().compaction_output_bytes;
+  EXPECT_LE(written, (4 + 1) * final_bytes)
+      << "written " << written << " final " << final_bytes;
+
+  std::vector<TvPairDouble> after_a, after_b;
+  ASSERT_TRUE(engine.Query("a", 0, 1'000'000, &after_a).ok());
+  ASSERT_TRUE(engine.Query("b", 0, 1'000'000, &after_b).ok());
+  EXPECT_EQ(after_a, before_a);
+  EXPECT_EQ(after_b, before_b);
 }
 
 TEST_F(CompactionTest, CompactSurvivesReopen) {

@@ -1,9 +1,9 @@
-// Integration tests for the rebuilt read path (engine/engine_shard.cc):
-// lock-free query snapshots (writers progress while a query reads),
-// footer-based file pruning, the shared chunk cache (repeat queries are
-// served from memory, compaction invalidates), clean error handling on
-// corrupted sealed files, and bit-identical results with the cache and
-// pruning disabled — the pre-refactor read path.
+// Integration tests for the read path (engine/engine_shard.cc): lock-free
+// query snapshots (writers progress while a query reads), footer-based
+// file pruning, page-granular reads through the shared chunk cache
+// (repeat queries are served from memory, compaction invalidates), clean
+// error handling on corrupted sealed files, and bit-identical results
+// with the cache and pruning disabled.
 
 #include <algorithm>
 #include <condition_variable>
@@ -172,6 +172,67 @@ TEST_F(ReadPathTest, CompactionInvalidatesCache) {
     EXPECT_EQ(out[i].t, static_cast<Timestamp>(i));
     EXPECT_DOUBLE_EQ(out[i].v, i == 50 ? -1.0 : static_cast<double>(i));
   }
+}
+
+// --- Page-granular reads -------------------------------------------------
+
+TEST_F(ReadPathTest, ReadsArePageGranular) {
+  constexpr size_t kPagePoints = 100;
+  constexpr Timestamp kPoints = 10'000;  // 100 pages per chunk
+  EngineOptions opt = Options();
+  opt.chunk_cache_bytes = 64u << 20;
+  opt.points_per_page = kPagePoints;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  for (Timestamp t = 0; t < kPoints; ++t) {
+    ASSERT_TRUE(engine.Write("q", t, static_cast<double>(t)).ok());
+    ASSERT_TRUE(engine.Write("a", t, static_cast<double>(t) * 0.5).ok());
+  }
+  ASSERT_TRUE(engine.FlushAll().ok());
+  ASSERT_EQ(engine.sealed_file_count(), 1u);
+
+  // A one-page Query on a cold cache: the page index plus the one page
+  // it overlaps, never the whole chunk.
+  const ChunkCacheStats before = engine.GetChunkCacheStats();
+  std::vector<TvPairDouble> out;
+  ASSERT_TRUE(engine.Query("q", 250, 260, &out).ok());
+  ASSERT_EQ(out.size(), 11u);
+  EXPECT_DOUBLE_EQ(out.front().v, 250.0);
+  const ChunkCacheStats after = engine.GetChunkCacheStats();
+  const uint64_t pages_overlapped = 1;
+  EXPECT_LE(after.misses - before.misses, pages_overlapped + 1);
+  const uint64_t chunk_decoded_bytes =
+      static_cast<uint64_t>(kPoints) * (sizeof(Timestamp) + sizeof(double));
+  EXPECT_LT(after.bytes - before.bytes, chunk_decoded_bytes / 4)
+      << "the query cached more than a page of the chunk";
+
+  // A tier-2 AggregateFast over a sub-chunk range on a cold cache: the
+  // page index plus at most the pages the range overlaps (here only its
+  // two boundary pages are decoded; interior ones fold from the index).
+  const Timestamp lo = 2'050, hi = 5'049;  // pages 20..50
+  const uint64_t agg_pages = 31;
+  TsFileReader::RangeStats stats;
+  bool used_fast = false;
+  ASSERT_TRUE(engine.AggregateFast("a", lo, hi, &stats, &used_fast).ok());
+  EXPECT_TRUE(used_fast);
+  ASSERT_EQ(stats.count, static_cast<size_t>(hi - lo + 1));
+  const ChunkCacheStats after_agg = engine.GetChunkCacheStats();
+  EXPECT_LE(after_agg.misses - after.misses, agg_pages + 1);
+
+  // Repeating it touches no file bytes: with the index and the boundary
+  // pages cached it still answers after the sealed file is truncated
+  // under the open engine.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".bstf") {
+      std::filesystem::resize_file(entry.path(), 16);
+    }
+  }
+  TsFileReader::RangeStats again;
+  ASSERT_TRUE(engine.AggregateFast("a", lo, hi, &again, &used_fast).ok());
+  EXPECT_EQ(again.count, stats.count);
+  EXPECT_EQ(again.sum, stats.sum);
+  EXPECT_EQ(again.first, stats.first);
+  EXPECT_EQ(again.last, stats.last);
 }
 
 // --- Disabled knobs reproduce the old read path ---------------------------

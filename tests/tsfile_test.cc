@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "encoding/bytes.h"
+#include "engine/storage_engine.h"
 #include "tsfile/tsfile.h"
 
 namespace backsort {
@@ -325,11 +328,14 @@ TEST_F(TsFileTest, ChunkAggregateFromLocatorMatchesReader) {
   TsFileReader reader(path);
   ASSERT_TRUE(reader.Open().ok());
   const ChunkLocator& loc = reader.Locators().at("s");
-  // The standalone chunk aggregator (used by the engine's tier-2 decode
+  // The page reader over a bare handle and locator (the engine's tier-2
   // path, no open reader needed) agrees with the reader-based one.
+  std::shared_ptr<const FileHandle> file;
+  ASSERT_TRUE(FileHandle::Open(path, &file).ok());
+  ChunkPages pages;
+  ASSERT_TRUE(ChunkPages::Open(file, "s", loc, nullptr, &pages).ok());
   TsFileReader::RangeStats via_loc, via_reader;
-  ASSERT_TRUE(
-      AggregateTsFileChunkF64(path, "s", loc, 1'001, 30'000, &via_loc).ok());
+  ASSERT_TRUE(pages.Aggregate(1'001, 30'000, &via_loc).ok());
   ASSERT_TRUE(reader.AggregateRangeF64("s", 1'001, 30'000, &via_reader).ok());
   EXPECT_EQ(via_loc.count, via_reader.count);
   EXPECT_DOUBLE_EQ(via_loc.min, via_reader.min);
@@ -420,6 +426,169 @@ TEST_F(TsFileTest, GarbageIndexOffsetDetected) {
   }
   TsFileReader reader(path);
   EXPECT_TRUE(reader.Open().IsCorruption());
+}
+
+// --- hostile chunks through every page-reader entry point -------------------
+
+// A crafted two-page chunk whose length fields are written as fixed-width
+// (non-minimal, still valid) 5-byte varints, so each defect below rewrites
+// one field without moving any other byte: the damaged file has the same
+// size and the same footer as the sound one.
+enum class ChunkDefect {
+  kNone,
+  kTimeSizePastChunkEnd,
+  kValueSizePastChunkEnd,
+  kPageCountAbovePoints,
+  kPagePointsAbovePoints,
+  kTruncatedPageHeader,
+};
+
+constexpr size_t kCraftPages = 2;
+constexpr size_t kCraftPagePoints = 10;
+constexpr uint64_t kCraftPoints = kCraftPages * kCraftPagePoints;
+
+void PutWideVarint(ByteBuffer* out, uint64_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->PutU8(static_cast<uint8_t>(0x80 | (v & 0x7f)));
+    v >>= 7;
+  }
+  out->PutU8(static_cast<uint8_t>(v));
+}
+
+void WriteCraftedFile(const std::string& path, const std::string& sensor,
+                      ChunkDefect defect) {
+  TsFileWriter::EncodedChunk chunk;
+  chunk.points = kCraftPoints;
+  chunk.min_t = 0;
+  chunk.max_t = static_cast<Timestamp>(kCraftPoints) - 1;
+  ByteBuffer& body = chunk.body;
+  body.PutLengthPrefixedString(sensor);
+  body.PutU8(static_cast<uint8_t>(DataType::kDouble));
+  body.PutU8(static_cast<uint8_t>(Encoding::kTs2Diff));
+  body.PutU8(static_cast<uint8_t>(Encoding::kGorilla));
+  PutWideVarint(&body, defect == ChunkDefect::kPageCountAbovePoints
+                           ? kCraftPoints + 1
+                           : defect == ChunkDefect::kTruncatedPageHeader
+                                 ? kCraftPages + 1
+                                 : kCraftPages);
+  for (size_t p = 0; p < kCraftPages; ++p) {
+    std::vector<Timestamp> ts;
+    std::vector<double> vals;
+    for (size_t i = 0; i < kCraftPagePoints; ++i) {
+      ts.push_back(static_cast<Timestamp>(p * kCraftPagePoints + i));
+      vals.push_back(static_cast<double>(ts.back()) * 1.5);
+      chunk.stats.Fold(vals.back());
+    }
+    ByteBuffer time_buf, value_buf;
+    ASSERT_TRUE(EncodeI64(Encoding::kTs2Diff, ts, &time_buf).ok());
+    ASSERT_TRUE(EncodeF64(Encoding::kGorilla, vals, &value_buf).ok());
+    const bool last = p + 1 == kCraftPages;
+    PutWideVarint(&body, defect == ChunkDefect::kPagePointsAbovePoints
+                             ? kCraftPoints + 1
+                             : kCraftPagePoints);
+    body.PutVarintSigned64(ts.front());
+    body.PutVarintSigned64(ts.back());
+    for (double v : {*std::min_element(vals.begin(), vals.end()),
+                     *std::max_element(vals.begin(), vals.end()), 0.0}) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      body.PutFixed64(bits);
+    }
+    PutWideVarint(&body,
+                  time_buf.size() +
+                      (last && defect == ChunkDefect::kTimeSizePastChunkEnd
+                           ? 1000
+                           : 0));
+    body.Append(time_buf);
+    PutWideVarint(&body,
+                  value_buf.size() +
+                      (last && defect == ChunkDefect::kValueSizePastChunkEnd
+                           ? 1000
+                           : 0));
+    body.Append(value_buf);
+  }
+  TsFileWriter writer(path);
+  ASSERT_TRUE(writer.AppendEncodedChunk(sensor, chunk).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(TsFileTest, HostileChunksAreCorruptionThroughEveryEntryPoint) {
+  // The sound crafted chunk reads back: the fixtures below are valid
+  // files except for the one field each defect rewrites.
+  {
+    const std::string path = Path("sound.bstf");
+    WriteCraftedFile(path, "s", ChunkDefect::kNone);
+    TsFileReader reader(path);
+    ASSERT_TRUE(reader.Open().ok());
+    std::vector<Timestamp> ts;
+    std::vector<double> values;
+    ASSERT_TRUE(reader.ReadChunkF64("s", &ts, &values).ok());
+    ASSERT_EQ(ts.size(), kCraftPoints);
+    EXPECT_DOUBLE_EQ(values.back(), 19 * 1.5);
+  }
+  const struct {
+    ChunkDefect defect;
+    const char* name;
+  } cases[] = {
+      {ChunkDefect::kTimeSizePastChunkEnd, "time size past chunk end"},
+      {ChunkDefect::kValueSizePastChunkEnd, "value size past chunk end"},
+      {ChunkDefect::kPageCountAbovePoints, "page count above points"},
+      {ChunkDefect::kPagePointsAbovePoints, "page points above points"},
+      {ChunkDefect::kTruncatedPageHeader, "truncated page header"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string sound = Path("sound.bstf");
+    const std::string bad = Path("bad.bstf");
+    WriteCraftedFile(bad, "s", c.defect);
+    ASSERT_EQ(Slurp(bad).size(), Slurp(sound).size());
+
+    // TsFileReader: the footer is intact, every chunk read fails.
+    TsFileReader reader(bad);
+    ASSERT_TRUE(reader.Open().ok());
+    std::vector<Timestamp> ts;
+    std::vector<double> values;
+    EXPECT_TRUE(reader.ReadChunkF64("s", &ts, &values).IsCorruption());
+    EXPECT_TRUE(reader.QueryRangeF64("s", 3, 15, &ts, &values).IsCorruption());
+    TsFileReader::RangeStats stats;
+    EXPECT_TRUE(reader.AggregateRangeF64("s", 3, 15, &stats).IsCorruption());
+
+    // RunCursor.
+    TsFileReader::RunCursor cursor(bad, "s", reader.Locators().at("s"));
+    EXPECT_TRUE(cursor.Open().IsCorruption());
+
+    // Engine: recovery adopts the sound file (it decodes every chunk, so
+    // a damaged body could not get past Open), then the same bytes turn
+    // hostile in place under the open engine.
+    const std::filesystem::path data = dir_ / "engine";
+    std::filesystem::remove_all(data);
+    std::filesystem::create_directories(data);
+    const std::string sealed = (data / "seq-00000000.bstf").string();
+    std::filesystem::copy_file(sound, sealed);
+    EngineOptions opt;
+    opt.data_dir = data.string();
+    opt.shard_count = 1;
+    opt.flush_workers = 1;
+    StorageEngine engine(opt);
+    ASSERT_TRUE(engine.Open().ok());
+    {
+      std::fstream f(sealed, std::ios::in | std::ios::out | std::ios::binary);
+      const std::string bytes = Slurp(bad);
+      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::vector<TvPairDouble> out;
+    EXPECT_TRUE(engine.Query("s", 3, 15, &out).IsCorruption());
+    bool used_fast = false;
+    EXPECT_TRUE(engine.AggregateFast("s", 3, 15, &stats, &used_fast)
+                    .IsCorruption());
+    EXPECT_EQ(stats.count, 0u);
+  }
 }
 
 TEST_F(TsFileTest, MissingFileIsIOError) {

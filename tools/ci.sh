@@ -52,10 +52,13 @@
 #      recorded, not gated — in-process nodes share this host's cores,
 #      so scale-out is only measurable multi-host, see
 #      bench/baselines/BENCH_system_cluster.json "host_cores")
-#  11. cardinality: the sensor-interner and arena-backed TVList suites
-#      under AddressSanitizer (the interner hands out string_views into
-#      a bump arena and the memtable frees TVList blocks wholesale at
-#      seal — exactly the lifetimes ASan is for), then a scaled 100k-
+#  11. cardinality + page reads: the sensor-interner and arena-backed
+#      TVList suites under AddressSanitizer (the interner hands out
+#      string_views into a bump arena and the memtable frees TVList
+#      blocks wholesale at seal — exactly the lifetimes ASan is for), and
+#      the tsfile, read-path and compaction suites (page offsets from
+#      file headers and pread buffers, including the hostile-chunk
+#      table), then a scaled 100k-
 #      sensor bench/system_cardinality run gated on idle heap staying
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -294,8 +297,8 @@ echo "=== [9/11] aggregation: differential suite under TSan + stats-plan gate ==
 # The statistics plan must be an optimization, never an approximation:
 # the differential suite ingests random disorder workloads and
 # bit-compares AggregateFast against a brute-force decode, with and
-# without footer statistics — run under ThreadSanitizer because the
-# tier-2 decode fans chunks across a reader pool.
+# without footer statistics — run under ThreadSanitizer because reads
+# share the page cache and each sealed file's pread handle.
 cmake --build build-tsan -j --target aggregate_differential_test
 ./build-tsan/tests/aggregate_differential_test
 # Scaled-down system_agg: the metadata-only plan must beat the decode
@@ -452,14 +455,19 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/11] cardinality: ASan interner/arena suites + 100k-sensor smoke ==="
+echo "=== [11/11] cardinality + page reads: ASan suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
-# run their suites under AddressSanitizer to keep those lifetimes honest.
+# the page reader indexes pread buffers with offsets parsed from file
+# headers. Run their suites under AddressSanitizer to keep both honest.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
-cmake --build build-asan -j --target interner_test tvlist_test
+cmake --build build-asan -j --target interner_test tvlist_test tsfile_test \
+  read_path_test compaction_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
+./build-asan/tests/tsfile_test
+./build-asan/tests/read_path_test
+./build-asan/tests/compaction_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
