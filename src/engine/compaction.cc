@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "engine/flush_pool.h"
+#include "engine/merge_cursor.h"
 #include "engine/storage_engine.h"
 
 namespace backsort {
@@ -179,48 +180,6 @@ CompactionPlan CompactionPlanner::PlanFull(
   return WindowPlan(files, sizes, begin, count);
 }
 
-// --- loser tree -------------------------------------------------------------
-
-void LoserTree::Init(size_t players, std::function<bool(size_t, size_t)> less) {
-  players_ = players;
-  less_ = std::move(less);
-  tree_.assign(std::max<size_t>(players, 1), kNone);
-  if (players <= 1) {
-    tree_[0] = 0;
-    return;
-  }
-  // Seat each leaf: walk toward the root, playing a match at every
-  // occupied node (winner moves up, loser stays) and parking at the first
-  // empty one. After all K leaves, tree_[0] holds the champion and every
-  // internal node the loser of its match.
-  for (size_t s = 0; s < players_; ++s) {
-    size_t candidate = s;
-    size_t node = (s + players_) / 2;
-    while (node > 0 && tree_[node] != kNone) {
-      if (less_(tree_[node], candidate)) {
-        std::swap(tree_[node], candidate);
-      }
-      node /= 2;
-    }
-    if (node == 0) {
-      tree_[0] = candidate;
-    } else {
-      tree_[node] = candidate;
-    }
-  }
-}
-
-void LoserTree::Replay() {
-  if (players_ <= 1) return;
-  size_t candidate = tree_[0];
-  for (size_t node = (candidate + players_) / 2; node > 0; node /= 2) {
-    if (less_(tree_[node], candidate)) {
-      std::swap(tree_[node], candidate);
-    }
-  }
-  tree_[0] = candidate;
-}
-
 // --- job --------------------------------------------------------------------
 
 namespace {
@@ -238,99 +197,44 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
                                   TsFileWriter* writer, uint64_t* survivors,
                                   CompactionStats* stats) {
   *survivors = 0;
-  const size_t k = sources.size();
-  std::vector<std::unique_ptr<TsFileReader::RunCursor>> cursors;
-  cursors.reserve(k);
+  // Inputs are read without the cache: a one-shot scan would only evict
+  // what foreground reads keep warm. Sources are in ascending window
+  // position, so the newest input wins ties — the rule Query applies.
+  MergeCursor cursor;
   for (const SensorSource& src : sources) {
-    std::shared_ptr<const FileHandle> file;
-    RETURN_NOT_OK(plan.inputs[src.input]->Handle(&file));
-    cursors.push_back(std::make_unique<TsFileReader::RunCursor>(
-        std::move(file), sensor, src.locator));
-    RETURN_NOT_OK(cursors.back()->Open());
+    RETURN_NOT_OK(
+        cursor.AddChunk(*plan.inputs[src.input], sensor, src.locator, nullptr));
   }
-
-  // Exhausted cursors order last; equal timestamps order by window
-  // position so the newest input pops LAST and overwrites the pending
-  // point — the same last-write-wins rule MergeRuns applies at query
-  // time (sources are in ascending window position by construction).
-  LoserTree tree;
-  tree.Init(k, [&cursors](size_t a, size_t b) {
-    const bool da = cursors[a]->done(), db = cursors[b]->done();
-    if (da != db) return !da;
-    if (da) return a < b;
-    const Timestamp ta = cursors[a]->time(), tb = cursors[b]->time();
-    if (ta != tb) return ta < tb;
-    return a < b;
-  });
 
   const size_t points_per_page = config_.points_per_page == 0
                                      ? TsFileWriter::kDefaultPointsPerPage
                                      : config_.points_per_page;
   std::vector<Timestamp> page_ts;
   std::vector<double> page_vals;
-  page_ts.reserve(points_per_page);
-  page_vals.reserve(points_per_page);
-
-  // Streaming LWW: hold back one point; a successor with the same
-  // timestamp (necessarily from an equal-or-newer input, per the pop
-  // order) replaces it, anything else flushes it out.
-  bool have_pending = false;
-  Timestamp pending_t = 0;
-  double pending_v = 0.0;
-
-  size_t cursor_resident = 0;  // decoded points across all open cursors
-  for (const auto& c : cursors) cursor_resident += c->page_points();
-
-  auto note_resident = [&]() {
-    const size_t resident =
-        cursor_resident + page_ts.size() + (have_pending ? 1 : 0);
-    if (resident > stats->max_resident_points) {
-      stats->max_resident_points = resident;
-    }
-  };
-  note_resident();
-
-  auto emit = [&](Timestamp t, double v) -> Status {
+  Status write_status = Status::OK();
+  RETURN_NOT_OK(cursor.ForEach(true, [&](Timestamp t, double v) {
     ++*survivors;
-    if (writer == nullptr) return Status::OK();
+    if (writer == nullptr || !write_status.ok()) return;
     page_ts.push_back(t);
     page_vals.push_back(v);
     if (page_ts.size() == points_per_page) {
-      note_resident();
-      RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
+      write_status = writer->AppendPageF64(page_ts, page_vals);
       page_ts.clear();
       page_vals.clear();
     }
-    return Status::OK();
-  };
-
-  for (;;) {
-    const size_t w = tree.winner();
-    if (cursors[w]->done()) break;
-    const Timestamp t = cursors[w]->time();
-    const double v = cursors[w]->value();
-    if (have_pending && pending_t == t) {
-      pending_v = v;  // newer input (or later duplicate) shadows it
-    } else {
-      if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
-      pending_t = t;
-      pending_v = v;
-      have_pending = true;
-    }
-    const size_t before = cursors[w]->page_points();
-    RETURN_NOT_OK(cursors[w]->Advance());
-    const size_t after = cursors[w]->page_points();
-    if (after != before) {
-      cursor_resident += after;
-      cursor_resident -= before;
-      note_resident();
-    }
-    tree.Replay();
-  }
-  if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
+  }));
+  RETURN_NOT_OK(write_status);
   if (writer != nullptr && !page_ts.empty()) {
     RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
   }
+  // Input pages at the cursor's peak, plus the output page being built
+  // and the merge's one-point lookahead.
+  const size_t output_page =
+      writer == nullptr ? 0 : std::min<uint64_t>(*survivors, points_per_page);
+  stats->max_resident_points =
+      std::max(stats->max_resident_points,
+               cursor.peak_resident_points() + output_page +
+                   (*survivors > 0 ? 1 : 0));
   return Status::OK();
 }
 

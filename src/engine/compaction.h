@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -142,34 +141,6 @@ class CompactionPlanner {
   CompactionConfig config_;
 };
 
-/// Tournament loser tree selecting the minimum of K sorted cursors in
-/// O(log K) comparisons per pop (vs the binary heap's pop+push pair).
-/// Players are cursor indices; `less(a, b)` orders player a's current key
-/// before player b's. tree_[0] holds the overall winner, tree_[1..K-1]
-/// hold the losers of their subtree matches; after the winner's cursor
-/// advances, Replay re-runs only the matches on its leaf-to-root path.
-class LoserTree {
- public:
-  /// Builds the tree over `players` cursors. `less` must totally order
-  /// the players (exhausted cursors compare last).
-  void Init(size_t players, std::function<bool(size_t, size_t)> less);
-
-  size_t winner() const { return tree_[0]; }
-
-  /// Re-seats the current winner after its key changed (advance or
-  /// exhaustion).
-  void Replay();
-
- private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-
-  size_t players_ = 0;
-  std::function<bool(size_t, size_t)> less_;
-  /// tree_[0] = winner; tree_[1..players-1] = internal loser nodes. Leaf
-  /// s enters at node (s + players) / 2.
-  std::vector<size_t> tree_;
-};
-
 /// Per-job outcome, for metrics and the streaming-memory tests.
 struct CompactionStats {
   size_t input_files = 0;
@@ -178,18 +149,18 @@ struct CompactionStats {
   /// Points surviving last-write-wins dedup across all sensors.
   size_t output_points = 0;
   size_t sensors = 0;
-  /// Peak decoded points resident at any instant of the merge: the open
-  /// run cursors' current pages + the output page being built + the
+  /// Peak decoded points resident during the merge: the MergeCursor's
+  /// peak over its input pages + the output page being built + the
   /// lookahead point. The streaming bound — independent of input size.
   size_t max_resident_points = 0;
 };
 
-/// Merges one plan's input files into a single fresh sealed file with a
-/// streaming per-sensor loser-tree k-way merge: every sensor chunk is
-/// read page by page through TsFileReader::RunCursor (on the input's
-/// shared FileHandle), deduplicated last-write-wins across
-/// sequence/unsequence inputs (higher window position = newer wins),
-/// and written page by page, so job memory is
+/// Merges one plan's input files into a single fresh sealed file with the
+/// engine's streaming MergeCursor, sensor by sensor: every input chunk is
+/// read page by page (on the input's shared FileHandle, uncached),
+/// deduplicated last-write-wins across sequence/unsequence inputs
+/// (higher window position = newer wins), and written page by page, so
+/// job memory is
 /// bounded by fan-in × page size — never by dataset size. The output is
 /// written to "<name>.tmp", fsync'd, and atomically renamed (with a
 /// directory fsync) BEFORE the swap can unlink the durable inputs; on

@@ -135,7 +135,11 @@ struct EngineOptions {
 
   /// Last-write-wins deduplication of equal timestamps on query, matching
   /// IoTDB's read semantics (an unsequence rewrite of an existing
-  /// timestamp shadows the sequence value). Off = return all duplicates.
+  /// timestamp shadows the sequence value). Off = Query and tier-3
+  /// aggregates keep the duplicates still held by distinct sources; flush
+  /// and compaction always write only the survivor of each timestamp, so
+  /// duplicates inside one memtable or across compacted files are gone
+  /// once sealed either way.
   bool dedup_on_query = true;
 
   /// Run the tiered background compaction scheduler (engine/compaction.h):

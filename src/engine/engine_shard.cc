@@ -11,7 +11,7 @@
 
 #include "common/timer.h"
 #include "engine/flush_pool.h"
-#include "engine/merge.h"
+#include "engine/merge_cursor.h"
 #include "engine/wal_tailer.h"
 #include "sort/sortable.h"
 
@@ -488,9 +488,17 @@ Status EngineShard::FlushTable(const FlushJob& job) {
       scratch.values.clear();
       scratch.ts.reserve(list->size());
       scratch.values.reserve(list->size());
+      // Only the last-write-wins survivor of each timestamp is sealed (the
+      // MergeCursor tie rule: inside one source the later element wins),
+      // so chunk and page statistics count exactly what Query returns.
       for (size_t k = 0; k < list->size(); ++k) {
-        scratch.ts.push_back(list->TimeAt(k));
-        scratch.values.push_back(list->ValueAt(k));
+        const Timestamp t = list->TimeAt(k);
+        if (!scratch.ts.empty() && scratch.ts.back() == t) {
+          scratch.values.back() = list->ValueAt(k);
+        } else {
+          scratch.ts.push_back(t);
+          scratch.values.push_back(list->ValueAt(k));
+        }
       }
       res.status = TsFileWriter::EncodeChunkF64(
           jobs[i]->sensor, scratch.ts, scratch.values, Encoding::kTs2Diff,
@@ -622,36 +630,17 @@ Status EngineShard::FlushTable(const FlushJob& job) {
   return Status::OK();
 }
 
-std::vector<TvPairDouble> EngineShard::CollectFromMemTable(
-    const MemTable& table, SensorId sid, Timestamp t_min, Timestamp t_max) {
-  const EngineOptions& options = shared_->options;
-  // Serialize with the flush worker's in-place sort of this sealed table.
-  std::unique_lock<std::mutex> table_lock(table.mu());
+void EngineShard::CopyRange(const MemTable& table, SensorId sid,
+                            Timestamp t_min, Timestamp t_max, MemRun* run) {
   const DoubleTVList* list = table.GetChunk(sid);
-  if (list == nullptr || list->size() == 0) return {};
-  if (list->max_time() < t_min || list->min_time() > t_max) return {};
-  // Snapshot matching points, then sort the snapshot with the configured
-  // algorithm — the query-time sorting cost the paper measures. The
-  // snapshot preserves arrival order, so the sorter sees the same disorder
-  // profile the TVList holds.
-  std::vector<TvPairDouble> snapshot;
-  snapshot.reserve(list->size());
+  if (list == nullptr || list->size() == 0) return;
+  if (list->max_time() < t_min || list->min_time() > t_max) return;
+  run->points.reserve(list->size());
   for (size_t i = 0; i < list->size(); ++i) {
     const Timestamp t = list->TimeAt(i);
-    if (t >= t_min && t <= t_max) {
-      snapshot.push_back({t, list->ValueAt(i)});
-    }
+    if (t >= t_min && t <= t_max) run->points.push_back({t, list->ValueAt(i)});
   }
-  if (!snapshot.empty() && !list->sorted()) {
-    // Stable sort so duplicate timestamps keep arrival order and
-    // last-write-wins dedup is well defined. Timsort and the merge-based
-    // sorters are stable; Backward-Sort's quicksorted blocks are not, so
-    // equal-timestamp dedup inside one memtable run is best-effort there —
-    // exactly IoTDB's situation.
-    VectorSortable<double> seq_adapter(snapshot);
-    SortWith(options.sorter, seq_adapter, options.backward_options);
-  }
-  return snapshot;
+  run->sorted = list->sorted();
 }
 
 void EngineShard::TakeSnapshot(const std::string& sensor, Timestamp t_min,
@@ -668,33 +657,9 @@ void EngineShard::TakeSnapshot(const std::string& sensor, Timestamp t_min,
   snap->sid = sid;
   // Working tables only mutate under mu_ (flush workers touch sealed
   // tables exclusively), so reading them here needs no per-table lock.
-  auto bounds_overlap = [&](const MemTable& table) {
-    const DoubleTVList* list = table.GetChunk(sid);
-    return list != nullptr && list->size() > 0 &&
-           list->max_time() >= t_min && list->min_time() <= t_max;
-  };
-  snap->working_in_range =
-      bounds_overlap(*working_seq_) || bounds_overlap(*working_unseq_);
   if (want_points) {
-    // Copy matching points in arrival order; the caller sorts outside the
-    // lock when the list was not already sorted, so the configured sorter
-    // still sees the TVList's disorder profile.
-    auto copy_points = [&](const MemTable& table,
-                           std::vector<TvPairDouble>* dst, bool* sorted) {
-      const DoubleTVList* list = table.GetChunk(sid);
-      if (list == nullptr || list->size() == 0) return;
-      if (list->max_time() < t_min || list->min_time() > t_max) return;
-      dst->reserve(list->size());
-      for (size_t i = 0; i < list->size(); ++i) {
-        const Timestamp t = list->TimeAt(i);
-        if (t >= t_min && t <= t_max) dst->push_back({t, list->ValueAt(i)});
-      }
-      *sorted = list->sorted();
-    };
-    copy_points(*working_unseq_, &snap->working_unseq,
-                &snap->working_unseq_sorted);
-    copy_points(*working_seq_, &snap->working_seq,
-                &snap->working_seq_sorted);
+    CopyRange(*working_unseq_, sid, t_min, t_max, &snap->working_unseq);
+    CopyRange(*working_seq_, sid, t_min, t_max, &snap->working_seq);
   }
   if (sid != kInvalidSensorId && (flags_[sid] & kHasLast) != 0) {
     snap->have_last = true;
@@ -702,18 +667,77 @@ void EngineShard::TakeSnapshot(const std::string& sensor, Timestamp t_min,
   }
 }
 
-Status EngineShard::ReadFileRange(const SealedFileMeta& file,
-                                  const std::string& sensor, Timestamp t_min,
-                                  Timestamp t_max,
-                                  std::vector<Timestamp>* ts,
-                                  std::vector<double>* values) {
-  std::shared_ptr<const FooterIndex> footer;
-  RETURN_NOT_OK(file.Footer(&footer));
-  const ChunkLocator* locator = footer->Find(sensor);
-  if (locator == nullptr) return Status::NotFound("sensor: " + sensor);
-  ChunkPages pages;
-  RETURN_NOT_OK(file.Pages(sensor, *locator, &pages));
-  return pages.ReadRange(t_min, t_max, ts, values);
+Status EngineShard::PruneFiles(const ReadSnapshot& snap,
+                               const std::string& sensor, Timestamp t_min,
+                               Timestamp t_max, std::vector<ChunkRef>* chunks,
+                               uint64_t* pruned) const {
+  // Two levels: the registry's pinned O(1) file span first, then the
+  // per-sensor locator from the (cache-resident, evictable) footer. A
+  // footer that cannot be read fails the read instead of silently
+  // dropping the file's points.
+  const bool prune = shared_->options.enable_file_pruning;
+  for (const SealedFileRef& file : snap.files) {
+    if (prune && !file->SpanOverlaps(t_min, t_max)) {
+      ++*pruned;
+      continue;
+    }
+    std::shared_ptr<const FooterIndex> footer;
+    RETURN_NOT_OK(file->Footer(&footer));
+    const ChunkLocator* locator = footer->Find(sensor);
+    if (locator == nullptr ||
+        (prune && (locator->min_t > locator->max_t ||
+                   locator->max_t < t_min || locator->min_t > t_max))) {
+      if (prune) ++*pruned;
+      continue;
+    }
+    chunks->push_back({file.get(), *locator});
+  }
+  return Status::OK();
+}
+
+void EngineShard::AddMemRun(MemRun run, MergeCursor* cursor) const {
+  if (run.points.empty()) return;
+  if (!run.sorted) {
+    // The query-time sort the paper measures: the copy kept arrival
+    // order, so the configured sorter sees the TVList's disorder profile.
+    // Stable sorters keep equal timestamps in arrival order, so the later
+    // write wins exactly; Backward-Sort's quicksorted blocks are not
+    // stable, so there the survivor of an in-table rewrite is best-effort,
+    // as in IoTDB (flush sorts the TVList with the same sorter).
+    VectorSortable<double> adapter(run.points);
+    SortWith(shared_->options.sorter, adapter,
+             shared_->options.backward_options);
+  }
+  auto block = std::make_shared<DecodedPage>();
+  block->ts.reserve(run.points.size());
+  block->values.reserve(run.points.size());
+  for (const TvPairDouble& p : run.points) {
+    block->ts.push_back(p.t);
+    block->values.push_back(p.v);
+  }
+  cursor->AddRun(std::move(block));
+}
+
+Status EngineShard::AddSources(const std::string& sensor, Timestamp t_min,
+                               Timestamp t_max,
+                               const std::vector<ChunkRef>& chunks,
+                               ReadSnapshot* snap, MergeCursor* cursor) {
+  ChunkCache* cache = shared_->chunk_cache.get();
+  for (const ChunkRef& chunk : chunks) {
+    RETURN_NOT_OK(cursor->AddChunk(*chunk.file, sensor, chunk.locator, cache));
+  }
+  for (const auto& table : snap->flushing) {
+    MemRun run;
+    {
+      // Serialize with the flush worker's in-place sort of this table.
+      std::unique_lock<std::mutex> table_lock(table->mu());
+      CopyRange(*table, snap->sid, t_min, t_max, &run);
+    }
+    AddMemRun(std::move(run), cursor);
+  }
+  AddMemRun(std::move(snap->working_unseq), cursor);
+  AddMemRun(std::move(snap->working_seq), cursor);
+  return Status::OK();
 }
 
 Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
@@ -736,92 +760,50 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
 
   // Stage 2 — footer-based file pruning: a file whose footer says the
   // sensor has no points in range is skipped without being opened.
-  // Two levels: the registry's pinned O(1) file span first, then the
-  // per-sensor locator from the (cache-resident, evictable) footer.
-  // Priorities are assigned by list position (creation order) whether or
-  // not a file survives pruning, so last-write-wins ordering is unchanged.
   WallTimer prune_timer;
-  std::vector<std::pair<SealedFileRef, int>> files;
-  files.reserve(snap.files.size());
-  int priority = 0;
+  std::vector<ChunkRef> chunks;
   uint64_t pruned = 0;
-  for (const SealedFileRef& file : snap.files) {
-    ++priority;
-    if (shared.options.enable_file_pruning) {
-      if (!file->SpanOverlaps(t_min, t_max)) {
-        ++pruned;
-        continue;
-      }
-      std::shared_ptr<const FooterIndex> footer;
-      if (file->Footer(&footer).ok()) {
-        const ChunkLocator* locator = footer->Find(sensor);
-        if (locator == nullptr || locator->min_t > locator->max_t ||
-            locator->max_t < t_min || locator->min_t > t_max) {
-          ++pruned;
-          continue;
-        }
-      }
-      // An unreadable footer never prunes — the read below surfaces the
-      // I/O error instead of silently dropping the file's points.
-    }
-    files.emplace_back(file, priority);
-  }
+  Status st = PruneFiles(snap, sensor, t_min, t_max, &chunks, &pruned);
   if (pruned > 0) {
     shared.query_files_pruned.fetch_add(pruned, std::memory_order_relaxed);
   }
   qh.prune.Record(static_cast<uint64_t>(prune_timer.ElapsedNanos()));
+  if (!st.ok()) return st;
 
-  // Stage 3 — gather per-source sorted runs with write-recency priorities:
-  // sealed files in creation order, then in-flight flushing tables, then
-  // the working-table copies (most recent writes).
+  // Stage 3 — open the merge sources in write-recency order: sealed
+  // chunks (page index + first in-range page), then the sorted memtable
+  // copies.
   WallTimer read_timer;
-  std::vector<SortedRun> runs;
-  for (auto& [file, file_priority] : files) {
-    std::vector<Timestamp> ts;
-    std::vector<double> values;
-    Status st = ReadFileRange(*file, sensor, t_min, t_max, &ts, &values);
-    if (st.IsNotFound()) continue;
-    if (!st.ok()) {
-      // Propagate the failure with no partial state: a half-gathered
-      // result must never masquerade as the query answer.
-      out->clear();
-      return st;
-    }
-    shared.query_files_opened.fetch_add(1, std::memory_order_relaxed);
-    SortedRun run;
-    run.priority = file_priority;
-    run.points.resize(ts.size());
-    for (size_t i = 0; i < ts.size(); ++i) run.points[i] = {ts[i], values[i]};
-    runs.push_back(std::move(run));
-  }
-  for (const auto& table : snap.flushing) {
-    runs.push_back(
-        {CollectFromMemTable(*table, snap.sid, t_min, t_max), ++priority});
-  }
-  auto finish_working = [&](std::vector<TvPairDouble>&& points, bool sorted) {
-    if (!sorted && !points.empty()) {
-      VectorSortable<double> adapter(points);
-      SortWith(shared.options.sorter, adapter, shared.options.backward_options);
-    }
-    runs.push_back({std::move(points), ++priority});
-  };
-  finish_working(std::move(snap.working_unseq), snap.working_unseq_sorted);
-  finish_working(std::move(snap.working_seq), snap.working_seq_sorted);
+  MergeCursor cursor(t_min, t_max);
+  st = AddSources(sensor, t_min, t_max, chunks, &snap, &cursor);
   qh.read.Record(static_cast<uint64_t>(read_timer.ElapsedNanos()));
+  if (!st.ok()) return st;
+  shared.query_files_opened.fetch_add(chunks.size(),
+                                      std::memory_order_relaxed);
 
-  // Stage 4 — k-way last-write-wins merge.
+  // Stage 4 — drain the last-write-wins merge (later pages decode here).
   WallTimer merge_timer;
-  MergeRuns(std::move(runs), shared.options.dedup_on_query, out);
+  out->reserve(cursor.size_hint());
+  st = cursor.ForEach(shared.options.dedup_on_query,
+                      [out](Timestamp t, double v) { out->push_back({t, v}); });
   qh.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
+  if (!st.ok()) {
+    // No partial state: a half-merged result must never masquerade as
+    // the query answer.
+    out->clear();
+    return st;
+  }
   return Status::OK();
 }
 
 Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
                                   Timestamp t_max,
                                   TsFileReader::RangeStats* stats,
-                                  bool* used_fast_path) {
+                                  bool* used_fast_path,
+                                  size_t* peak_resident_points) {
   *stats = TsFileReader::RangeStats{};
   if (used_fast_path != nullptr) *used_fast_path = false;
+  if (peak_resident_points != nullptr) *peak_resident_points = 0;
   EngineSharedState& shared = *shared_;
   shared.agg_requests.fetch_add(1, std::memory_order_relaxed);
   AggregatePathHistograms& ah = shared.agg_histograms;
@@ -833,132 +815,113 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     return Status::OK();
   }
 
-  // Stage 1 — plan: consistent snapshot + shadow classification.
+  // Stage 1 — plan: consistent snapshot, footer pruning (the same
+  // PruneFiles as Query) and shadow classification.
   //
   // Soundness: statistics cannot express last-write-wins shadowing, so the
   // metadata tiers require every point in range to live in exactly one
-  // sequence file. Sequence files never overlap per sensor (the watermark
-  // enforces strictly increasing time ranges). With pruning metadata the
-  // guard sharpens: an unsequence file disqualifies only when it actually
-  // holds points of this sensor inside the range (a non-overlapping one
-  // cannot shadow anything the aggregate sees); with pruning disabled the
-  // guard stays maximally conservative.
+  // sequence chunk. Sequence files never overlap per sensor (the watermark
+  // enforces strictly increasing time ranges, and flush seals one
+  // survivor per timestamp). With pruning metadata the guard sharpens: an
+  // unsequence file disqualifies only when it actually holds points of
+  // this sensor inside the range (a non-overlapping one cannot shadow
+  // anything the aggregate sees); with pruning disabled the guard stays
+  // maximally conservative. Working-table points in range shadow too.
   WallTimer plan_timer;
   ReadSnapshot snap;
-  TakeSnapshot(sensor, t_min, t_max, /*want_points=*/false, &snap);
-
-  bool fast_ok = !snap.working_in_range;
-
-  // Per-sensor pruning metadata lives in the (evictable) footer cache, not
-  // pinned in the registry. Fetch each file's footer once for the whole
-  // plan; the shared_ptrs also keep every locator pointer below alive
-  // through the decode stage. A footer that cannot be read back forces the
-  // exact merge path, which surfaces (or survives) the I/O error itself.
-  std::vector<std::shared_ptr<const FooterIndex>> footers;
-  if (fast_ok) {
-    footers.resize(snap.files.size());
-    for (size_t i = 0; i < snap.files.size(); ++i) {
-      if (!snap.files[i]->Footer(&footers[i]).ok()) {
-        fast_ok = false;
-        break;
-      }
-    }
+  TakeSnapshot(sensor, t_min, t_max, /*want_points=*/true, &snap);
+  std::vector<ChunkRef> chunks;
+  uint64_t pruned = 0;
+  Status st = PruneFiles(snap, sensor, t_min, t_max, &chunks, &pruned);
+  if (!st.ok()) {
+    ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
+    return st;
   }
-  if (fast_ok) {
-    for (size_t i = 0; i < snap.files.size(); ++i) {
-      const SealedFileMeta& file = *snap.files[i];
-      if (!file.unsequence()) continue;
-      if (!shared.options.enable_file_pruning) {
-        fast_ok = false;
-        break;
-      }
-      const ChunkLocator* locator = footers[i]->Find(sensor);
-      if (locator != nullptr && locator->min_t <= locator->max_t &&
-          locator->max_t >= t_min && locator->min_t <= t_max) {
-        fast_ok = false;
-        break;
-      }
-    }
+  const bool prune = shared.options.enable_file_pruning;
+  bool fast_ok =
+      snap.working_unseq.points.empty() && snap.working_seq.points.empty();
+  for (const SealedFileRef& file : snap.files) {
+    if (file->unsequence() && !prune) fast_ok = false;
   }
-  auto memtable_touches_range = [&](const MemTable& table) {
-    std::unique_lock<std::mutex> table_lock(table.mu());
-    const DoubleTVList* list = table.GetChunk(snap.sid);
-    return list != nullptr && list->size() > 0 &&
-           list->max_time() >= t_min && list->min_time() <= t_max;
-  };
-  if (fast_ok) {
-    for (const auto& table : snap.flushing) {
-      if (memtable_touches_range(*table)) {
-        fast_ok = false;
-        break;
-      }
-    }
+  for (const ChunkRef& chunk : chunks) {
+    if (chunk.file->unsequence()) fast_ok = false;
+  }
+  for (const auto& table : snap.flushing) {
+    if (!fast_ok) break;
+    std::unique_lock<std::mutex> table_lock(table->mu());
+    const DoubleTVList* list = table->GetChunk(snap.sid);
+    fast_ok = list == nullptr || list->size() == 0 ||
+              list->max_time() < t_min || list->min_time() > t_max;
   }
 
   if (!fast_ok) {
     // Tier 3 — some source can shadow the sealed chunks (working or
     // flushing memtable points in range, or an overlapping unsequence
-    // file): only the full dedup merge gives the exact answer. Decode
-    // stage = the Query; merge stage = the fold.
+    // file): the last-write-wins merge folds every survivor, holding one
+    // page per sealed chunk and no point vector. Decode stage = opening
+    // the merge sources; merge stage = draining the fold.
     ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
     shared.agg_stats_misses.fetch_add(1, std::memory_order_relaxed);
     WallTimer decode_timer;
-    std::vector<TvPairDouble> points;
-    RETURN_NOT_OK(Query(sensor, t_min, t_max, &points));
+    MergeCursor cursor(t_min, t_max);
+    st = AddSources(sensor, t_min, t_max, chunks, &snap, &cursor);
     ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
+    if (!st.ok()) return st;
     WallTimer merge_timer;
     // Same NaN contract as the statistics tiers (see RangeStats).
-    for (const TvPairDouble& p : points) stats->Fold(p.t, p.v);
+    st = cursor.ForEach(shared.options.dedup_on_query,
+                        [stats](Timestamp t, double v) { stats->Fold(t, v); });
     ah.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
+    if (!st.ok()) {
+      *stats = TsFileReader::RangeStats{};  // no partial aggregate on error
+      return st;
+    }
+    if (peak_resident_points != nullptr) {
+      *peak_resident_points = cursor.peak_resident_points();
+    }
     return Status::OK();
   }
 
-  // Per-chunk plan over the unshadowed sequence files. `partials` is
-  // indexed by snapshot position so the final combine runs in file order
-  // whatever order the tiers complete in — the floating-point sum is
-  // deterministic for a given file set.
-  struct DecodeTask {
-    size_t slot;              // index into partials
-    const SealedFileMeta* file;
-    const ChunkLocator* locator;
-  };
-  std::vector<TsFileReader::RangeStats> partials(snap.files.size());
-  std::vector<DecodeTask> tasks;
+  // Per-chunk plan over the unshadowed sequence chunks. `partials` is
+  // indexed by chunk position (file order) so the final combine runs in
+  // file order whatever order the tiers complete in — the floating-point
+  // sum is deterministic for a given file set.
+  std::vector<TsFileReader::RangeStats> partials(chunks.size());
+  std::vector<size_t> decode;  // tier-2 chunk positions
   uint64_t hits = 0;
-  for (size_t i = 0; i < snap.files.size(); ++i) {
-    const SealedFileMeta& file = *snap.files[i];
-    const ChunkLocator* locator = footers[i]->Find(sensor);
-    if (locator == nullptr || locator->points == 0 ||
-        locator->max_t < t_min || locator->min_t > t_max) {
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkLocator& locator = chunks[i].locator;
+    if (locator.points == 0 || locator.max_t < t_min ||
+        locator.min_t > t_max) {
       continue;  // nothing of this sensor in range
     }
-    if (locator->min_t >= t_min && locator->max_t <= t_max &&
-        locator->stats_usable()) {
+    if (locator.min_t >= t_min && locator.max_t <= t_max &&
+        locator.stats_usable()) {
       // Tier 1 — the chunk is fully covered and unshadowed: the footer
       // statistics ARE the chunk's aggregate; no byte of it is read.
       TsFileReader::RangeStats& part = partials[i];
-      part.count = locator->points;
-      part.min = locator->min_v;
-      part.max = locator->max_v;
-      part.sum = locator->sum_v;
-      part.first = locator->first_v;
-      part.first_time = locator->min_t;
-      part.last = locator->last_v;
-      part.last_time = locator->max_t;
+      part.count = locator.points;
+      part.min = locator.min_v;
+      part.max = locator.max_v;
+      part.sum = locator.sum_v;
+      part.first = locator.first_v;
+      part.first_time = locator.min_t;
+      part.last = locator.last_v;
+      part.last_time = locator.max_t;
       ++hits;
       continue;
     }
     // Tier 2 — partial range overlap or a stat-less (BSTF1) footer: the
     // page-level aggregation folds interior pages from the page index's
     // statistics and decodes only boundary pages.
-    tasks.push_back({i, &file, locator});
+    decode.push_back(i);
   }
   ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
   if (hits > 0) {
     shared.agg_stats_hits.fetch_add(hits, std::memory_order_relaxed);
   }
-  if (!tasks.empty()) {
-    shared.agg_stats_misses.fetch_add(tasks.size(),
+  if (!decode.empty()) {
+    shared.agg_stats_misses.fetch_add(decode.size(),
                                       std::memory_order_relaxed);
   }
 
@@ -973,19 +936,16 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
   // Each reads its chunk's page index and only the pages its range needs
   // decoded, through the chunk cache.
   WallTimer decode_timer;
-  Status decode_status = Status::OK();
-  for (const DecodeTask& task : tasks) {
+  for (const size_t i : decode) {
     ChunkPages pages;
-    decode_status = task.file->Pages(sensor, *task.locator, &pages);
-    if (decode_status.ok()) {
-      decode_status = pages.Aggregate(t_min, t_max, &partials[task.slot]);
-    }
-    if (!decode_status.ok()) break;
+    st = chunks[i].file->Pages(sensor, chunks[i].locator, &pages);
+    if (st.ok()) st = pages.Aggregate(t_min, t_max, &partials[i]);
+    if (!st.ok()) break;
   }
   ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
-  if (!decode_status.ok()) {
+  if (!st.ok()) {
     *stats = TsFileReader::RangeStats{};  // no partial aggregate on error
-    return decode_status;
+    return st;
   }
 
   // Stage 4 — merge: combine the per-chunk partials in file order.

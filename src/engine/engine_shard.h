@@ -26,6 +26,7 @@
 namespace backsort {
 
 class FlushPool;
+class MergeCursor;
 
 /// Engine-wide write-path latency histograms, one per instrumented stage
 /// (see StageLatencySnapshots for stage semantics). Shared by every shard
@@ -270,9 +271,13 @@ class EngineShard {
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
+  /// `peak_resident_points` (optional): the decoded points the tier-3
+  /// merge held at its peak (MergeCursor::peak_resident_points); 0 when
+  /// tiers 1-2 answered.
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
                        Timestamp t_max, TsFileReader::RangeStats* stats,
-                       bool* used_fast_path);
+                       bool* used_fast_path,
+                       size_t* peak_resident_points = nullptr);
 
   /// Seals both working memtables into the flush queue (async mode: jobs go
   /// to the pool; the caller then waits via WaitFlushed).
@@ -333,12 +338,19 @@ class EngineShard {
   std::vector<SealedFileRef>& sealed_files_locked() { return sealed_files_; }
 
  private:
+  /// The in-range points of one memtable list, copied in arrival order
+  /// (the disorder profile the configured sorter then sees); `sorted` when
+  /// the list was already in time order.
+  struct MemRun {
+    std::vector<TvPairDouble> points;
+    bool sorted = true;
+  };
+
   /// Everything one read needs, captured atomically under mu_ and consumed
   /// entirely outside it: sealed-file refs (priority = list order),
-  /// flushing-table refs, filtered copies of the working memtables'
-  /// matching points (arrival order; sorted outside the lock when needed),
-  /// and the last-cache entry. Refs keep retired files readable and
-  /// retired memtables alive for the snapshot's lifetime, so the view
+  /// flushing-table refs, copies of the working memtables' matching
+  /// points, and the last-cache entry. Refs keep retired files readable
+  /// and retired memtables alive for the snapshot's lifetime, so the view
   /// stays consistent however far writes, flushes or compaction progress
   /// meanwhile.
   struct ReadSnapshot {
@@ -349,31 +361,51 @@ class EngineShard {
     SensorId sid = kInvalidSensorId;
     std::vector<SealedFileRef> files;
     std::vector<std::shared_ptr<MemTable>> flushing;
-    std::vector<TvPairDouble> working_unseq;
-    bool working_unseq_sorted = true;
-    std::vector<TvPairDouble> working_seq;
-    bool working_seq_sorted = true;
-    /// Either working table's chunk bounds overlap [t_min, t_max] — the
-    /// (conservative) aggregation fast-path disqualifier.
-    bool working_in_range = false;
+    MemRun working_unseq;
+    MemRun working_seq;
     bool have_last = false;
     TvPairDouble last{};
   };
 
+  /// One sealed chunk a read merges: its file and footer locator.
+  struct ChunkRef {
+    const SealedFileMeta* file = nullptr;
+    ChunkLocator locator;
+  };
+
   /// Takes the consistent read snapshot under mu_ — the only part of a
   /// query that holds the shard lock. `want_points` = false skips copying
-  /// working-memtable points (GetLatest / aggregation probing).
+  /// working-memtable points (GetLatest).
   void TakeSnapshot(const std::string& sensor, Timestamp t_min,
                     Timestamp t_max, bool want_points, ReadSnapshot* snap);
 
-  /// Reads `sensor`'s points in [t_min, t_max] from one sealed file:
-  /// footer locator, then the chunk's page index, then only the pages that
-  /// overlap the range, all through the shared chunk cache (which simply
-  /// misses when disabled). Runs without any engine lock.
-  Status ReadFileRange(const SealedFileMeta& file, const std::string& sensor,
-                       Timestamp t_min, Timestamp t_max,
-                       std::vector<Timestamp>* ts,
-                       std::vector<double>* values);
+  /// The one memtable copy: appends `sid`'s points of `table` in
+  /// [t_min, t_max] to `run` in arrival order. The caller holds the lock
+  /// guarding the table (mu_ for working tables, the table's own mutex
+  /// for flushing ones).
+  static void CopyRange(const MemTable& table, SensorId sid, Timestamp t_min,
+                        Timestamp t_max, MemRun* run);
+
+  /// Sorts `run` with the configured sorter (unless it arrived in order)
+  /// and adds it to `cursor` as the next-newer source, freeing the copy
+  /// (the cursor keeps a column-wise block). Runs with no lock held.
+  void AddMemRun(MemRun run, MergeCursor* cursor) const;
+
+  /// The snapshot's sealed chunks for `sensor` in [t_min, t_max], in
+  /// priority order, minus those the file span or footer locator prunes
+  /// (counted in `pruned`; with enable_file_pruning off only sensor-less
+  /// files are skipped). Fails when a footer cannot be read.
+  Status PruneFiles(const ReadSnapshot& snap, const std::string& sensor,
+                    Timestamp t_min, Timestamp t_max,
+                    std::vector<ChunkRef>* chunks, uint64_t* pruned) const;
+
+  /// Adds every merge source to `cursor` in write-recency order —
+  /// `chunks`, then the flushing tables (copied under their table locks),
+  /// then the working unsequence and sequence copies. Shared by Query and
+  /// tier-3 AggregateFast; runs without mu_.
+  Status AddSources(const std::string& sensor, Timestamp t_min,
+                    Timestamp t_max, const std::vector<ChunkRef>& chunks,
+                    ReadSnapshot* snap, MergeCursor* cursor);
 
   /// Seals one working memtable into the flush queue. Caller holds mu_.
   void SealLocked(bool sequence);
@@ -399,16 +431,6 @@ class EngineShard {
   /// (power-cut durability follows wal_fsync, like the main WAL). Caller
   /// holds mu_.
   Status ShipAppendLocked(const SensorSpanDouble* groups, size_t group_count);
-
-  /// Collects [t_min, t_max] points of the sensor with dense id `sid` from
-  /// a sealed (flushing) memtable into one sorted run (sorting with the
-  /// configured algorithm, like IoTDB's query-time sort). Takes the
-  /// per-table mutex to serialize with the flush worker's in-place sort;
-  /// called without mu_.
-  std::vector<TvPairDouble> CollectFromMemTable(const MemTable& table,
-                                                SensorId sid,
-                                                Timestamp t_min,
-                                                Timestamp t_max);
 
   /// Dense per-sensor shard state, indexed by SensorId: the separation
   /// watermark and the last-cache entry, replacing two string-keyed

@@ -108,9 +108,10 @@ class StorageEngine {
   /// (sealed-file refs + memtable copies); all file I/O, cache lookups,
   /// decoding and merging run lock-free, so same-shard writers progress
   /// while a query reads. Files are pruned by footer time range before
-  /// being opened; surviving files are read page by page (only the pages
+  /// being opened; surviving files stream page by page (only the pages
   /// overlapping the range), through the shared ChunkCache
-  /// (EngineOptions::chunk_cache_bytes).
+  /// (EngineOptions::chunk_cache_bytes), into one last-write-wins
+  /// MergeCursor with the memtable copies.
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
 
@@ -130,7 +131,11 @@ class StorageEngine {
   /// tiers are only sound when no data source can shadow another
   /// (duplicate timestamps are resolved last-write-wins by Query), so any
   /// in-memory points or overlapping unsequence file in range drops the
-  /// whole call to tier 3 — the exact Query-based computation.
+  /// whole call to tier 3 — the same last-write-wins MergeCursor as Query,
+  /// folding each survivor with no point vector. `peak_resident_points`
+  /// (optional) reports the decoded points that merge held at its peak
+  /// (0 when tiers 1-2 answered): one page per sealed chunk plus the
+  /// memtable copies, whatever the range size.
   /// `used_fast_path` reports true when no tier-3 source existed; results
   /// are identical either way (sums may differ in floating-point
   /// rounding, matching per-chunk fold order). An empty range (t_max <
@@ -139,7 +144,8 @@ class StorageEngine {
   /// eligible as first/last (docs/DESIGN.md §16).
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
                        Timestamp t_max, TsFileReader::RangeStats* stats,
-                       bool* used_fast_path = nullptr);
+                       bool* used_fast_path = nullptr,
+                       size_t* peak_resident_points = nullptr);
 
   /// Seals every shard's working memtables (if non-empty) and waits until
   /// all queued flushes hit disk. Sealing all shards first lets their

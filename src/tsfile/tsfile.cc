@@ -845,50 +845,6 @@ Status TsFileReader::AggregateRangeF64(const std::string& sensor,
   return pages.Aggregate(t_min, t_max, stats, pages_skipped);
 }
 
-// --- streaming run cursor ---------------------------------------------------
-
-TsFileReader::RunCursor::RunCursor(std::string path, std::string sensor,
-                                   ChunkLocator locator)
-    : path_(std::move(path)),
-      sensor_(std::move(sensor)),
-      locator_(locator) {}
-
-TsFileReader::RunCursor::RunCursor(std::shared_ptr<const FileHandle> file,
-                                   std::string sensor, ChunkLocator locator)
-    : path_(file->path()),
-      file_(std::move(file)),
-      sensor_(std::move(sensor)),
-      locator_(locator) {}
-
-Status TsFileReader::RunCursor::Open() {
-  if (locator_.points == 0) {
-    done_ = true;
-    return Status::OK();
-  }
-  if (file_ == nullptr) RETURN_NOT_OK(FileHandle::Open(path_, &file_));
-  RETURN_NOT_OK(ChunkPages::Open(file_, sensor_, locator_, nullptr, &pages_));
-  return LoadNextPage();
-}
-
-Status TsFileReader::RunCursor::LoadNextPage() {
-  while (next_page_ < pages_.size()) {
-    RETURN_NOT_OK(pages_.Page(next_page_++, &page_));
-    if (!page_->ts.empty()) {
-      page_idx_ = 0;
-      return Status::OK();
-    }
-  }
-  done_ = true;
-  page_.reset();
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::Advance() {
-  if (done_) return Status::InvalidArgument("cursor already done");
-  if (++page_idx_ < page_->ts.size()) return Status::OK();
-  return LoadNextPage();
-}
-
 Status SyncFileToDisk(const std::string& path) {
   return FsyncPath(path, O_RDONLY, "file fsync");
 }

@@ -247,8 +247,9 @@ class TsFileWriter {
 // per file), the footer (ReadTsFileFooter) for the chunk locator, the
 // chunk's page index (parsed by the one page-header parser), and a decode
 // of exactly the pages a time range overlaps. ChunkPages ties these to an
-// optional ChunkCache; TsFileReader, RunCursor, the engine's
-// Query/AggregateFast and recovery all read through it.
+// optional ChunkCache; TsFileReader, the engine's MergeCursor (Query,
+// tier-3 aggregates, compaction), tier-2 aggregates and recovery all read
+// through it.
 
 /// Read-only handle on one sealed file, read by offset with pread(2): it
 /// has no file position, so one handle serves concurrent readers.
@@ -405,50 +406,6 @@ class TsFileReader {
   /// and time range — the pruning metadata the engine registers at seal
   /// and recovery time.
   const FooterMap& Locators() const { return locators_; }
-
-  /// Streaming cursor over one sensor's chunk, one decoded page at a time
-  /// — the compaction merge's input. Resident memory per open run is the
-  /// page index plus one decoded page, regardless of chunk size.
-  /// Standalone by design: it needs only a file (path or shared handle)
-  /// and the footer's ChunkLocator, not an open TsFileReader.
-  class RunCursor {
-   public:
-    RunCursor(std::string path, std::string sensor, ChunkLocator locator);
-    RunCursor(std::shared_ptr<const FileHandle> file, std::string sensor,
-              ChunkLocator locator);
-
-    /// Opens the file (when given a path), builds the page index and
-    /// decodes the first page. A cursor over an empty chunk opens already
-    /// done().
-    Status Open();
-
-    bool done() const { return done_; }
-    /// Current point; valid while !done().
-    Timestamp time() const { return page_->ts[page_idx_]; }
-    double value() const { return page_->values[page_idx_]; }
-
-    /// Moves to the next point, decoding the next page when the current
-    /// one is exhausted (the only I/O after Open).
-    Status Advance();
-
-    /// Points in the currently decoded page — the cursor's entire decoded
-    /// footprint (the streaming-memory tests pin fan-in × this).
-    size_t page_points() const { return done_ ? 0 : page_->ts.size(); }
-    size_t pages_decoded() const { return next_page_; }
-
-   private:
-    Status LoadNextPage();
-
-    std::string path_;
-    std::shared_ptr<const FileHandle> file_;
-    std::string sensor_;
-    ChunkLocator locator_;
-    ChunkPages pages_;
-    size_t next_page_ = 0;
-    std::shared_ptr<const DecodedPage> page_;
-    size_t page_idx_ = 0;
-    bool done_ = false;
-  };
 
  private:
   /// Page reader over `sensor`'s chunk; NotFound / InvalidArgument when

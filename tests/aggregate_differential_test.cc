@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,22 +42,24 @@ struct RefAgg {
 RefAgg BruteForce(const std::vector<Timestamp>& ts,
                   const std::vector<double>& vs, Timestamp t_min,
                   Timestamp t_max) {
-  RefAgg r;
+  // Last write wins: a later arrival of a timestamp replaces the earlier.
+  std::map<Timestamp, double> survivors;
   for (size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i] < t_min || ts[i] > t_max) continue;
-    if (r.count == 0 || ts[i] < r.first_time) {
-      r.first_time = ts[i];
-      r.first = vs[i];
+    if (ts[i] >= t_min && ts[i] <= t_max) survivors[ts[i]] = vs[i];
+  }
+  RefAgg r;
+  for (const auto& [t, v] : survivors) {
+    if (r.count == 0) {
+      r.first_time = t;
+      r.first = v;
     }
-    if (r.count == 0 || ts[i] > r.last_time) {
-      r.last_time = ts[i];
-      r.last = vs[i];
-    }
+    r.last_time = t;
+    r.last = v;
     ++r.count;
-    if (!std::isnan(vs[i])) {
-      r.min = std::min(r.min, vs[i]);
-      r.max = std::max(r.max, vs[i]);
-      r.sum += vs[i];
+    if (!std::isnan(v)) {
+      r.min = std::min(r.min, v);
+      r.max = std::max(r.max, v);
+      r.sum += v;
     }
   }
   return r;
@@ -78,13 +81,14 @@ class AggregateDifferentialTest : public ::testing::Test {
   }
 
   std::unique_ptr<StorageEngine> MakeEngine(const std::string& tag,
-                                            bool footer_stats) {
+                                            bool footer_stats,
+                                            SorterId sorter) {
     dir_ = std::filesystem::temp_directory_path() /
            ("agg_diff_" + std::to_string(::getpid()) + "_" + tag);
     std::filesystem::remove_all(dir_);
     EngineOptions opt;
     opt.data_dir = dir_.string();
-    opt.sorter = SorterId::kBackward;
+    opt.sorter = sorter;
     opt.memtable_flush_threshold = 3'000;  // several sealed files per run
     opt.async_flush = false;
     opt.footer_stats = footer_stats;
@@ -98,19 +102,32 @@ class AggregateDifferentialTest : public ::testing::Test {
   // when stats are on), random partial ranges (tier 2 page decode), and
   // degenerate/out-of-range probes. `leave_tail_in_memory` keeps the last
   // points unflushed so the exact merge fallback (tier 3) is diffed too.
+  // `rewrite_every` > 0 rewrites, after every that-many points, the
+  // timestamp written two points earlier with a new value — duplicates
+  // inside one memtable, mostly above the watermark; stable sorters make
+  // the last write the survivor.
   void RunWorkload(const std::string& tag, const DelayDistribution& delay,
                    bool footer_stats, bool leave_tail_in_memory,
-                   uint64_t seed) {
+                   uint64_t seed, SorterId sorter = SorterId::kBackward,
+                   size_t rewrite_every = 0) {
     Rng rng(seed);
     const size_t n = 20'000;
-    auto engine = MakeEngine(tag, footer_stats);
-    const std::vector<Timestamp> ts =
+    auto engine = MakeEngine(tag, footer_stats, sorter);
+    const std::vector<Timestamp> arrivals =
         GenerateArrivalOrderedTimestamps(n, delay, rng);
-    std::vector<double> vs(ts.size());
-    for (size_t i = 0; i < ts.size(); ++i) {
-      vs[i] = SignalValueAt(static_cast<size_t>(ts[i]));
+    std::vector<Timestamp> ts;  // every write in arrival order
+    std::vector<double> vs;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      ts.push_back(arrivals[i]);
+      vs.push_back(SignalValueAt(static_cast<size_t>(arrivals[i])));
       // Sprinkle NaN to exercise the exclusion contract on every tier.
-      if (ts[i] % 997 == 0) vs[i] = std::nan("");
+      if (ts.back() % 997 == 0) vs.back() = std::nan("");
+      if (rewrite_every > 0 && i >= 2 && i % rewrite_every == 0) {
+        ts.push_back(arrivals[i - 2]);
+        vs.push_back(-1.0 - static_cast<double>(i));
+      }
+    }
+    for (size_t i = 0; i < ts.size(); ++i) {
       ASSERT_TRUE(engine->Write("s", ts[i], vs[i]).ok());
     }
     if (leave_tail_in_memory) {
@@ -195,6 +212,15 @@ TEST_F(AggregateDifferentialTest, HeavyTailDisorderStatsOn) {
                      "calm+tail");
   RunWorkload("heavy_on", delay, /*footer_stats=*/true,
               /*leave_tail_in_memory=*/false, 6);
+}
+
+TEST_F(AggregateDifferentialTest, SameTimestampRewritesStatsOn) {
+  // In-order stream: the rewrites stay in sequence memtables, so the
+  // statistics tiers see the flushed survivors.
+  ConstantDelay delay(0.0);
+  RunWorkload("rewrites_on", delay, /*footer_stats=*/true,
+              /*leave_tail_in_memory=*/false, 8, SorterId::kTim,
+              /*rewrite_every=*/7);
 }
 
 TEST_F(AggregateDifferentialTest, InMemoryTailForcesExactMergeTier) {

@@ -1,7 +1,7 @@
 // Tests for the tiered compaction subsystem (engine/compaction.{h,cc})
-// and its tsfile substrate: the paged RunCursor, the streaming
+// and its substrate: the MergeCursor over one paged chunk, the streaming
 // page-at-a-time chunk writer (byte-identical to the monolithic path),
-// the loser-tree k-way merge, the size-tier planner, the CompactionJob
+// the size-tier planner, the CompactionJob
 // (LWW dedup, bounded streaming memory, clean failure on corrupt input,
 // atomic .tmp + rename output), and the StorageEngine integration
 // (query/aggregate results identical before/after, orphan .tmp sweep on
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/compaction.h"
+#include "engine/merge_cursor.h"
 #include "engine/storage_engine.h"
 #include "tsfile/tsfile.h"
 
@@ -97,7 +97,7 @@ class CompactionTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-// --- TsFileReader::RunCursor ----------------------------------------------
+// --- MergeCursor over one sealed chunk -------------------------------------
 
 TEST_F(CompactionTest, RunCursorMatchesReadChunk) {
   std::vector<Timestamp> ts;
@@ -106,40 +106,38 @@ TEST_F(CompactionTest, RunCursorMatchesReadChunk) {
     ts.push_back(t * 3);  // non-trivial deltas for the ts2diff decoder
     vals.push_back(static_cast<double>(t) * 0.5 - 7.0);
   }
-  const std::string path = (dir_ / "seq-00000000.bstf").string();
-  TsFileWriter writer(path);
-  ASSERT_TRUE(writer.WriteChunkF64("s", ts, vals).ok());
-  ASSERT_TRUE(writer.Finish().ok());
+  SealedFileRef file = WriteFile("seq-00000000.bstf", "s", ts, vals);
+  std::shared_ptr<const FooterIndex> footer;
+  ASSERT_TRUE(file->Footer(&footer).ok());
 
-  TsFileReader reader(path);
-  ASSERT_TRUE(reader.Open().ok());
-  const ChunkLocator& locator = reader.Locators().at("s");
-
-  TsFileReader::RunCursor cursor(path, "s", locator);
-  ASSERT_TRUE(cursor.Open().ok());
+  MergeCursor cursor;
+  ASSERT_TRUE(cursor.AddChunk(*file, "s", *footer->Find("s"), nullptr).ok());
   std::vector<Timestamp> got_ts;
   std::vector<double> got_vals;
-  size_t max_page = 0;
-  while (!cursor.done()) {
-    got_ts.push_back(cursor.time());
-    got_vals.push_back(cursor.value());
-    max_page = std::max(max_page, cursor.page_points());
-    ASSERT_TRUE(cursor.Advance().ok());
-  }
+  ASSERT_TRUE(cursor
+                  .ForEach(false,
+                           [&](Timestamp t, double v) {
+                             got_ts.push_back(t);
+                             got_vals.push_back(v);
+                           })
+                  .ok());
   EXPECT_EQ(got_ts, ts);
   EXPECT_EQ(got_vals, vals);
   // One decoded page at a time, never the whole 5000-point chunk.
-  EXPECT_LE(max_page, TsFileWriter::kDefaultPointsPerPage);
-  EXPECT_EQ(cursor.pages_decoded(),
+  EXPECT_LE(cursor.peak_resident_points(), TsFileWriter::kDefaultPointsPerPage);
+  EXPECT_EQ(cursor.pages_read(),
             (ts.size() + TsFileWriter::kDefaultPointsPerPage - 1) /
                 TsFileWriter::kDefaultPointsPerPage);
 }
 
 TEST_F(CompactionTest, RunCursorEmptyLocatorIsDone) {
   ChunkLocator locator;  // points == 0
-  TsFileReader::RunCursor cursor((dir_ / "nope.bstf").string(), "s", locator);
-  ASSERT_TRUE(cursor.Open().ok());
-  EXPECT_TRUE(cursor.done());
+  SealedFileRef missing = FakeMeta("nope.bstf");
+  MergeCursor cursor;
+  ASSERT_TRUE(cursor.AddChunk(*missing, "s", locator, nullptr).ok());
+  size_t points = 0;
+  ASSERT_TRUE(cursor.ForEach(true, [&](Timestamp, double) { ++points; }).ok());
+  EXPECT_EQ(points, 0u);
 }
 
 TEST_F(CompactionTest, RunCursorTruncatedFileFails) {
@@ -149,25 +147,20 @@ TEST_F(CompactionTest, RunCursorTruncatedFileFails) {
     ts.push_back(t);
     vals.push_back(static_cast<double>(t));
   }
-  const std::string path = (dir_ / "seq-00000000.bstf").string();
-  TsFileWriter writer(path);
-  ASSERT_TRUE(writer.WriteChunkF64("s", ts, vals).ok());
-  ASSERT_TRUE(writer.Finish().ok());
-  TsFileReader reader(path);
-  ASSERT_TRUE(reader.Open().ok());
-  const ChunkLocator locator = reader.Locators().at("s");
+  SealedFileRef file = WriteFile("seq-00000000.bstf", "s", ts, vals);
+  std::shared_ptr<const FooterIndex> footer;
+  ASSERT_TRUE(file->Footer(&footer).ok());
+  const ChunkLocator locator = *footer->Find("s");
 
   // Cut the file in the middle of the chunk: the cursor must surface an
-  // error (on Open or a later Advance), never crash or fabricate points.
-  std::filesystem::resize_file(path, locator.offset + locator.length / 2);
-  TsFileReader::RunCursor cursor(path, "s", locator);
-  Status st = cursor.Open();
+  // error (when added or while draining), never crash or fabricate points.
+  std::filesystem::resize_file(file->path(),
+                               locator.offset + locator.length / 2);
+  MergeCursor cursor;
+  Status st = cursor.AddChunk(*file, "s", locator, nullptr);
   size_t steps = 0;
-  while (st.ok() && !cursor.done() && steps < ts.size() + 1) {
-    st = cursor.Advance();
-    ++steps;
-  }
-  EXPECT_FALSE(st.ok() && cursor.done() && steps == ts.size());
+  if (st.ok()) st = cursor.ForEach(false, [&](Timestamp, double) { ++steps; });
+  EXPECT_FALSE(st.ok() && steps == ts.size());
   EXPECT_FALSE(st.ok());
 }
 
@@ -235,46 +228,6 @@ TEST_F(CompactionTest, StreamingWriterValidatesPageOrderAndCount) {
   // Declared 2 pages, appended 2 — a third must fail.
   EXPECT_FALSE(writer.AppendPageF64({13}, {6.0}).ok());
   EXPECT_TRUE(writer.EndChunk().ok());
-}
-
-// --- LoserTree -------------------------------------------------------------
-
-TEST_F(CompactionTest, LoserTreeMatchesSortedMerge) {
-  std::mt19937_64 rng(20260808);
-  for (size_t k = 1; k <= 9; ++k) {
-    std::vector<std::vector<int64_t>> runs(k);
-    std::vector<int64_t> all;
-    for (auto& run : runs) {
-      const size_t n = rng() % 40;
-      for (size_t i = 0; i < n; ++i) {
-        run.push_back(static_cast<int64_t>(rng() % 100));
-      }
-      std::sort(run.begin(), run.end());
-      all.insert(all.end(), run.begin(), run.end());
-    }
-    std::vector<size_t> pos(k, 0);
-    LoserTree tree;
-    tree.Init(k, [&](size_t a, size_t b) {
-      const bool da = pos[a] >= runs[a].size();
-      const bool db = pos[b] >= runs[b].size();
-      if (da != db) return !da;
-      if (da) return a < b;
-      if (runs[a][pos[a]] != runs[b][pos[b]]) {
-        return runs[a][pos[a]] < runs[b][pos[b]];
-      }
-      return a < b;
-    });
-    std::vector<int64_t> merged;
-    for (;;) {
-      const size_t w = tree.winner();
-      if (pos[w] >= runs[w].size()) break;
-      merged.push_back(runs[w][pos[w]]);
-      ++pos[w];
-      tree.Replay();
-    }
-    std::sort(all.begin(), all.end());
-    EXPECT_EQ(merged, all) << "k=" << k;
-  }
 }
 
 // --- CompactionPlanner -----------------------------------------------------

@@ -90,6 +90,111 @@ TEST_F(EngineTest, QueryRangeFilters) {
   EXPECT_TRUE(out.empty());
 }
 
+/// Folds a Query result the way the aggregate tiers must agree with.
+TsFileReader::RangeStats FoldQuery(StorageEngine& engine, Timestamp t_min,
+                                   Timestamp t_max) {
+  std::vector<TvPairDouble> points;
+  EXPECT_TRUE(engine.Query("s", t_min, t_max, &points).ok());
+  TsFileReader::RangeStats stats;
+  for (const TvPairDouble& p : points) stats.Fold(p.t, p.v);
+  return stats;
+}
+
+void ExpectSameStats(const TsFileReader::RangeStats& got,
+                     const TsFileReader::RangeStats& want) {
+  ASSERT_EQ(got.count, want.count);
+  if (want.count == 0) return;
+  EXPECT_DOUBLE_EQ(got.sum, want.sum);
+  EXPECT_DOUBLE_EQ(got.min, want.min);
+  EXPECT_DOUBLE_EQ(got.max, want.max);
+  EXPECT_EQ(got.first_time, want.first_time);
+  EXPECT_DOUBLE_EQ(got.first, want.first);
+  EXPECT_EQ(got.last_time, want.last_time);
+  EXPECT_DOUBLE_EQ(got.last, want.last);
+}
+
+TEST_F(EngineTest, RewrittenTimestampAggregatesLikeQueryAfterFlush) {
+  // A rewrite of a timestamp still in the working sequence memtable is a
+  // duplicate inside one table: flush must seal only the survivor, or the
+  // footer and page statistics count a point Query never returns.
+  for (const SorterId sorter : {SorterId::kTim, SorterId::kBackward}) {
+    SCOPED_TRACE(static_cast<int>(sorter));
+    std::filesystem::remove_all(dir_);
+    const EngineOptions opt = Options(sorter, /*async=*/false);
+    auto check = [](StorageEngine& engine) {
+      std::vector<TvPairDouble> out;
+      ASSERT_TRUE(engine.Query("s", 0, 1000, &out).ok());
+      ASSERT_EQ(out.size(), 2u);
+      EXPECT_DOUBLE_EQ(out[0].v, 2.0);
+      EXPECT_DOUBLE_EQ(out[1].v, 3.0);
+      // [0, 1000] covers the chunk (tier 1); [50, 150] cuts it (tier 2).
+      const struct {
+        Timestamp lo, hi;
+        size_t count;
+        double sum;
+      } probes[] = {{0, 1000, 2, 5.0}, {50, 150, 1, 2.0}};
+      for (const auto& p : probes) {
+        SCOPED_TRACE(p.lo);
+        TsFileReader::RangeStats got;
+        bool used_fast = false;
+        ASSERT_TRUE(engine.AggregateFast("s", p.lo, p.hi, &got, &used_fast)
+                        .ok());
+        EXPECT_TRUE(used_fast);
+        EXPECT_EQ(got.count, p.count);
+        EXPECT_DOUBLE_EQ(got.sum, p.sum);
+        ExpectSameStats(got, FoldQuery(engine, p.lo, p.hi));
+      }
+    };
+    {
+      StorageEngine engine(opt);
+      ASSERT_TRUE(engine.Open().ok());
+      ASSERT_TRUE(engine.Write("s", 100, 1.0).ok());
+      ASSERT_TRUE(engine.Write("s", 100, 2.0).ok());
+      ASSERT_TRUE(engine.Write("s", 200, 3.0).ok());
+      ASSERT_TRUE(engine.FlushAll().ok());
+      check(engine);
+    }
+    StorageEngine reopened(opt);
+    ASSERT_TRUE(reopened.Open().ok());
+    check(reopened);
+  }
+}
+
+TEST_F(EngineTest, TierThreeAggregateMemoryIsIndependentOfRange) {
+  EngineOptions opt = Options(SorterId::kTim, /*async=*/false);
+  opt.memtable_flush_threshold = 1'000'000;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  constexpr Timestamp kPoints = 100'000;
+  for (Timestamp t = 0; t < kPoints; ++t) {
+    ASSERT_TRUE(engine.Write("s", t, static_cast<double>(t % 1000)).ok());
+  }
+  ASSERT_TRUE(engine.FlushAll().ok());
+  // Rewrites below the watermark seal an unsequence file that overlaps
+  // both probes, so both run the tier-3 merge.
+  for (const Timestamp t : {10, 20, 30}) {
+    ASSERT_TRUE(engine.Write("s", t, -1.0).ok());
+  }
+  ASSERT_TRUE(engine.FlushAll().ok());
+
+  size_t peaks[2] = {0, 0};
+  const Timestamp ends[2] = {kPoints / 10 - 1, kPoints - 1};
+  for (int i = 0; i < 2; ++i) {
+    TsFileReader::RangeStats got;
+    bool used_fast = true;
+    ASSERT_TRUE(
+        engine.AggregateFast("s", 0, ends[i], &got, &used_fast, &peaks[i])
+            .ok());
+    EXPECT_FALSE(used_fast);
+    EXPECT_EQ(got.count, static_cast<size_t>(ends[i] + 1));
+    ExpectSameStats(got, FoldQuery(engine, 0, ends[i]));
+  }
+  // One decoded page per sealed chunk, whatever the range covers.
+  EXPECT_EQ(peaks[0], peaks[1]);
+  EXPECT_GT(peaks[0], 0u);
+  EXPECT_LE(peaks[0], 2 * opt.points_per_page);
+}
+
 class EngineSorterTest : public EngineTest,
                          public ::testing::WithParamInterface<SorterId> {};
 

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "encoding/bytes.h"
+#include "engine/merge_cursor.h"
 #include "engine/storage_engine.h"
 #include "tsfile/tsfile.h"
 
@@ -559,9 +560,12 @@ TEST_F(TsFileTest, HostileChunksAreCorruptionThroughEveryEntryPoint) {
     TsFileReader::RangeStats stats;
     EXPECT_TRUE(reader.AggregateRangeF64("s", 3, 15, &stats).IsCorruption());
 
-    // RunCursor.
-    TsFileReader::RunCursor cursor(bad, "s", reader.Locators().at("s"));
-    EXPECT_TRUE(cursor.Open().IsCorruption());
+    // MergeCursor over the chunk, as compaction reads it.
+    SealedFileMeta meta(
+        bad, std::make_shared<const FooterIndex>(reader.Locators()), nullptr);
+    MergeCursor cursor;
+    EXPECT_TRUE(cursor.AddChunk(meta, "s", reader.Locators().at("s"), nullptr)
+                    .IsCorruption());
 
     // Engine: recovery adopts the sound file (it decodes every chunk, so
     // a damaged body could not get past Open), then the same bytes turn

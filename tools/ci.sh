@@ -56,9 +56,10 @@
 #      TVList suites under AddressSanitizer (the interner hands out
 #      string_views into a bump arena and the memtable frees TVList
 #      blocks wholesale at seal — exactly the lifetimes ASan is for), and
-#      the tsfile, read-path and compaction suites (page offsets from
-#      file headers and pread buffers, including the hostile-chunk
-#      table), then a scaled 100k-
+#      the tsfile, read-path, compaction and merge-cursor suites (page
+#      offsets from file headers and pread buffers, including the
+#      hostile-chunk table; the loser tree's block pointers into shared
+#      pages), then a scaled 100k-
 #      sensor bench/system_cardinality run gated on idle heap staying
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -459,15 +460,17 @@ echo "=== [11/11] cardinality + page reads: ASan suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # the page reader indexes pread buffers with offsets parsed from file
-# headers. Run their suites under AddressSanitizer to keep both honest.
+# headers, and the merge cursor walks raw pointers into shared pages. Run
+# their suites under AddressSanitizer to keep them honest.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test tsfile_test \
-  read_path_test compaction_test
+  read_path_test compaction_test merge_cursor_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/tsfile_test
 ./build-asan/tests/read_path_test
 ./build-asan/tests/compaction_test
+./build-asan/tests/merge_cursor_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
