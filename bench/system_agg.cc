@@ -2,15 +2,20 @@
 // workloads are ingested into two engines — footer statistics on (BSTF2)
 // and off (stat-less BSTF1, the decode fallback) — and AggregateFast is
 // timed over a sweep of range sizes. Panels cover an ordered stream (many
-// sequence files, the pure tier-1 showcase) and a disordered stream that
-// is compacted first (the paper's steady state: backward-sorted flushes
-// merged into sequence files, statistics recomputed from surviving
-// points).
+// sequence files, answered from footer statistics alone), a disordered
+// stream that is compacted first (the paper's steady state:
+// backward-sorted flushes merged into sequence files, statistics
+// recomputed from surviving points), and sparse late arrivals: the
+// compacted layout of a stream with holes plus one unsequence file of
+// late points that fill some of them, so the merge folds every page no
+// late point lands in and decodes the rest.
 //
-// Prints one table per panel (range fraction x configuration, µs/op) and
-// writes BENCH_system_agg.json whose headline `stats_agg_speedup` field —
-// the geometric mean across panels of the full-coverage-range speedup —
-// is gated by ci.sh (>= 3.0, best of three).
+// Prints one table per panel (range fraction x configuration: µs/op and
+// page reads per call — page and page-index lookups through the chunk
+// cache, each a decode when cold) and writes BENCH_system_agg.json whose
+// headline `stats_agg_speedup` field — the geometric mean of the
+// full-coverage-range speedup across the statistics-only panels (ordered
+// and compacted) — is gated by ci.sh (>= 3.0, best of three).
 //
 // Scale via BACKSORT_SYSTEM_POINTS (default 400k) and BACKSORT_AGG_ITERS
 // (timed iterations per cell, default 200).
@@ -20,6 +25,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/system_bench.h"
@@ -32,6 +38,9 @@ struct AggPanel {
   std::string name;
   std::unique_ptr<DelayDistribution> delay;
   bool compact;  // merge to sequence files before measuring
+  /// Holes at t % 50 == 25, then (after compaction) one unsequence file
+  /// of late points into every 80th hole; not in the headline.
+  bool late = false;
 };
 
 struct CellResult {
@@ -39,6 +48,8 @@ struct CellResult {
   double stats_off_us = 0;
   double speedup = 0;
   size_t count = 0;
+  double pages_on = 0;   // page reads per call, statistics on
+  double pages_off = 0;  // the same for the decode fallback
   uint64_t stats_hits = 0;
   uint64_t stats_misses = 0;
 };
@@ -62,6 +73,7 @@ std::unique_ptr<StorageEngine> BuildEngine(const std::filesystem::path& dir,
   Rng rng(7);
   const auto ts = GenerateArrivalOrderedTimestamps(points, *panel.delay, rng);
   for (const Timestamp t : ts) {
+    if (panel.late && t % 50 == 25) continue;
     if (Status st = engine->Write("agg", t, SignalValueAt(size_t(t)));
         !st.ok()) {
       std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
@@ -78,12 +90,28 @@ std::unique_ptr<StorageEngine> BuildEngine(const std::filesystem::path& dir,
       return nullptr;
     }
   }
+  if (panel.late) {
+    // Below the watermark: one sparse unsequence file.
+    for (Timestamp t = 1'025; t < Timestamp(points); t += 4'000) {
+      if (Status st = engine->Write("agg", t, SignalValueAt(size_t(t)));
+          !st.ok()) {
+        std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
+        return nullptr;
+      }
+    }
+    if (Status st = engine->FlushAll(); !st.ok()) {
+      std::fprintf(stderr, "flush failed: %s\n", st.ToString().c_str());
+      return nullptr;
+    }
+  }
   return engine;
 }
 
 // Times AggregateFast over [0, frac * points) on one engine; µs per call.
+// `page_reads` receives the page and page-index lookups per call.
 double TimeAggregate(StorageEngine& engine, size_t points, double frac,
-                     size_t iters, TsFileReader::RangeStats* out) {
+                     size_t iters, TsFileReader::RangeStats* out,
+                     double* page_reads) {
   const Timestamp t_max =
       static_cast<Timestamp>(std::max(1.0, frac * double(points)) - 1);
   bool used_fast = false;
@@ -91,6 +119,7 @@ double TimeAggregate(StorageEngine& engine, size_t points, double frac,
   for (int i = 0; i < 2; ++i) {
     (void)engine.AggregateFast("agg", 0, t_max, out, &used_fast);
   }
+  const ChunkCacheStats before = engine.GetChunkCacheStats();
   WallTimer timer;
   for (size_t i = 0; i < iters; ++i) {
     if (Status st = engine.AggregateFast("agg", 0, t_max, out, &used_fast);
@@ -99,7 +128,12 @@ double TimeAggregate(StorageEngine& engine, size_t points, double frac,
       return 0;
     }
   }
-  return timer.ElapsedMillis() * 1e3 / double(iters);
+  const double us = timer.ElapsedMillis() * 1e3 / double(iters);
+  const ChunkCacheStats after = engine.GetChunkCacheStats();
+  *page_reads = double(after.hits + after.misses - before.hits -
+                       before.misses) /
+                double(iters);
+  return us;
 }
 
 void RunPanel(const AggPanel& panel, size_t points, size_t iters,
@@ -114,12 +148,15 @@ void RunPanel(const AggPanel& panel, size_t points, size_t iters,
   const std::vector<double> fracs = {1.0, 0.5, 0.1, 0.01};
   PrintTitle("system_agg / " + panel.name + ": AggregateFast µs/op (" +
              std::to_string(points) + " points)");
-  PrintHeader("range", {"stats_on", "decode", "speedup"});
+  PrintHeader("range",
+              {"stats_on", "decode", "speedup", "pages_on", "pages_off"});
   for (const double frac : fracs) {
     CellResult cell;
     TsFileReader::RangeStats s_on, s_off;
-    cell.stats_on_us = TimeAggregate(*on, points, frac, iters, &s_on);
-    cell.stats_off_us = TimeAggregate(*off, points, frac, iters, &s_off);
+    cell.stats_on_us =
+        TimeAggregate(*on, points, frac, iters, &s_on, &cell.pages_on);
+    cell.stats_off_us =
+        TimeAggregate(*off, points, frac, iters, &s_off, &cell.pages_off);
     if (cell.stats_on_us <= 0 || cell.stats_off_us <= 0) return;
     cell.speedup = cell.stats_off_us / cell.stats_on_us;
     cell.count = s_on.count;
@@ -138,8 +175,9 @@ void RunPanel(const AggPanel& panel, size_t points, size_t iters,
     cell.stats_misses = snap.agg_stats_misses;
     char label[32];
     std::snprintf(label, sizeof(label), "%g%%", frac * 100);
-    PrintRow(label, {cell.stats_on_us, cell.stats_off_us, cell.speedup});
-    if (frac == 1.0) headline_speedups->push_back(cell.speedup);
+    PrintRow(label, {cell.stats_on_us, cell.stats_off_us, cell.speedup,
+                     cell.pages_on, cell.pages_off});
+    if (frac == 1.0 && !panel.late) headline_speedups->push_back(cell.speedup);
     if (json != nullptr) {
       json->BeginObject(panel.name + "|" + label);
       json->Field("panel", panel.name);
@@ -149,6 +187,8 @@ void RunPanel(const AggPanel& panel, size_t points, size_t iters,
       json->Field("stats_on_us", cell.stats_on_us);
       json->Field("stats_off_us", cell.stats_off_us);
       json->Field("speedup", cell.speedup);
+      json->Field("pages_on_per_call", cell.pages_on);
+      json->Field("pages_off_per_call", cell.pages_off);
       json->Field("stats_hits", static_cast<size_t>(cell.stats_hits));
       json->Field("stats_misses", static_cast<size_t>(cell.stats_misses));
       json->EndObject();
@@ -173,9 +213,13 @@ int main() {
   panels.push_back({"AbsNormal(1,50)+compact",
                     std::make_unique<AbsNormalDelay>(1.0, 50.0),
                     /*compact=*/true});
+  panels.push_back({"SparseLate+compact",
+                    std::make_unique<AbsNormalDelay>(1.0, 50.0),
+                    /*compact=*/true, /*late=*/true});
 
   JsonWriter json;
   json.Field("bench", "system_agg");
+  json.Field("host_cores", size_t{std::thread::hardware_concurrency()});
   json.Field("points", points);
   json.Field("iters", iters);
   std::vector<double> headline;

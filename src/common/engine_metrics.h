@@ -130,11 +130,12 @@ struct QueryStageSnapshots {
 
 /// Aggregation-path latency distributions, one histogram snapshot per
 /// stage of an AggregateFast call. All values are nanoseconds; recording
-/// is lock-free. The stages partition the three-tier plan: `plan` is the
-/// snapshot + shadow classification, `stats` folds footer statistics of
-/// fully covered chunks (tier 1), `decode` runs the page-level partial
-/// aggregation and the exact fallback reads (tiers 2/3), `merge` combines
-/// the partials into the final answer.
+/// is lock-free. `plan`, `decode` and `merge` partition the one plan:
+/// `plan` is the snapshot + footer pruning, `decode` opens the merge
+/// sources (statistics-keyed chunks cost no I/O), `merge` drains the
+/// last-write-wins merge with its statistics fold. `stats` repeats the
+/// merge time of calls answered from statistics alone (no page read, no
+/// memtable point).
 struct AggregateStageSnapshots {
   HistogramSnapshot plan;
   HistogramSnapshot stats;
@@ -228,11 +229,10 @@ struct EngineMetricsSnapshot {
   AggregateStageSnapshots agg_stages;
   /// AggregateFast calls served since open.
   uint64_t agg_requests = 0;
-  /// Chunks answered from footer statistics alone (tier 1, no decode).
+  /// Chunks and pages folded from their statistics (no decode).
   uint64_t agg_stats_hits = 0;
-  /// Sources that fell to a decoding tier: one per partially covered or
-  /// stat-less chunk (tier 2 page-level aggregation) and one per call
-  /// routed through the exact merge fallback (tier 3, shadowed range).
+  /// Pages aggregates read (cache or decode) and merged point by point,
+  /// the read for a folded last page's last value included.
   uint64_t agg_stats_misses = 0;
   /// Shared chunk-cache counters (see ChunkCacheStats).
   ChunkCacheStats cache;

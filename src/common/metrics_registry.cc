@@ -225,13 +225,12 @@ void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
                     base_labels, static_cast<double>(snapshot.agg_requests));
   registry->Counter(
       "backsort_agg_stats_hits_total",
-      "Chunks answered from footer statistics alone (tier 1, no decode).",
+      "Chunks and pages aggregates folded from their statistics (no decode).",
       base_labels, static_cast<double>(snapshot.agg_stats_hits));
   registry->Counter(
       "backsort_agg_stats_misses_total",
-      "Aggregation sources that needed a decoding tier: partially covered "
-      "or stat-less chunks (tier 2) plus calls routed through the exact "
-      "merge fallback (tier 3).",
+      "Pages aggregates read and merged point by point (cache or decode), "
+      "last-value reads included.",
       base_labels, static_cast<double>(snapshot.agg_stats_misses));
 
   const struct {

@@ -1,8 +1,6 @@
 #include "engine/aggregate.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace backsort {
 
@@ -10,31 +8,17 @@ namespace {
 
 AggregateResult AggregateSortedRun(const std::vector<TvPairDouble>& points,
                                    size_t begin, size_t end) {
-  AggregateResult r;
-  if (begin >= end) return r;
-  r.count = end - begin;
-  // Engine-wide NaN contract (docs/DESIGN.md §16, same as the statistics
-  // pushdown): NaN is counted and eligible as first/last, but never
-  // contributes to min/max/sum; an all-NaN window reports min = +inf,
-  // max = -inf, sum = 0.
-  r.min = std::numeric_limits<double>::infinity();
-  r.max = -std::numeric_limits<double>::infinity();
+  RangeStats s;  // the engine's one fold, NaN contract included
   size_t finite = 0;
   for (size_t i = begin; i < end; ++i) {
-    if (std::isnan(points[i].v)) continue;
-    ++finite;
-    r.sum += points[i].v;
-    r.min = std::min(r.min, points[i].v);
-    r.max = std::max(r.max, points[i].v);
+    s.Fold(points[i].t, points[i].v);
+    finite += std::isnan(points[i].v) ? 0 : 1;
   }
-  r.mean = finite == 0 ? std::nan("") : r.sum / static_cast<double>(finite);
-  // The engine returns points sorted by time, so positional first/last are
-  // temporal first/last.
-  r.first = points[begin].v;
-  r.first_time = points[begin].t;
-  r.last = points[end - 1].v;
-  r.last_time = points[end - 1].t;
-  return r;
+  if (s.count == 0) return {};
+  const double mean =
+      finite == 0 ? std::nan("") : s.sum / static_cast<double>(finite);
+  return {s.count, s.sum,  s.min,        s.max,       mean,
+          s.first, s.last, s.first_time, s.last_time};
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ struct EngineOptions {
   /// Whether flushed (and compacted) TsFiles carry per-chunk value
   /// statistics in their footers (the BSTF2 format). False writes the
   /// stat-less BSTF1 footer — the `--no-footer-stats` escape hatch; the
-  /// engine then answers aggregations through the decoding tiers only.
+  /// engine then answers aggregations by decoding every page they cover.
   bool footer_stats = true;
 
   /// Number of independent engine shards; sensors are hashed onto shards,
@@ -135,8 +135,8 @@ struct EngineOptions {
 
   /// Last-write-wins deduplication of equal timestamps on query, matching
   /// IoTDB's read semantics (an unsequence rewrite of an existing
-  /// timestamp shadows the sequence value). Off = Query and tier-3
-  /// aggregates keep the duplicates still held by distinct sources; flush
+  /// timestamp shadows the sequence value). Off = Query and
+  /// AggregateFast keep the duplicates still held by distinct sources; flush
   /// and compaction always write only the survivor of each timestamp, so
   /// duplicates inside one memtable or across compacted files are gone
   /// once sealed either way.

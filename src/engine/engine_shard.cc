@@ -143,7 +143,6 @@ Status EngineShard::Write(const std::string& sensor, Timestamp t, double v) {
     RETURN_NOT_OK(ShipAppendLocked(&span, 1));
   }
   target->Write(sid, interner_.NameOf(sid), t, v);
-  approx_working_points_.fetch_add(1, std::memory_order_relaxed);
   {
     SensorState& state = states_[sid];
     if ((flags_[sid] & kHasLast) == 0 || t >= state.last.t) {
@@ -279,8 +278,6 @@ Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
       flags_[sid] |= kHasLast;
       target_points += span.count;
     }
-    approx_working_points_.fetch_add(target_points,
-                                     std::memory_order_relaxed);
     applied_points += target_points;
     return Status::OK();
   };
@@ -344,9 +341,6 @@ void EngineShard::SealLocked(bool sequence) {
   }
   std::shared_ptr<MemTable> sealed(working.release());
   working = std::make_unique<MemTable>();
-  approx_working_points_.store(
-      working_seq_->total_points() + working_unseq_->total_points(),
-      std::memory_order_relaxed);
   flushing_.push_back(sealed);
   flush_queue_.push_back(FlushJob{sealed, sequence, wal_path,
                                   next_flush_seq_++, shared_->NowNs(),
@@ -815,146 +809,52 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     return Status::OK();
   }
 
-  // Stage 1 — plan: consistent snapshot, footer pruning (the same
-  // PruneFiles as Query) and shadow classification.
-  //
-  // Soundness: statistics cannot express last-write-wins shadowing, so the
-  // metadata tiers require every point in range to live in exactly one
-  // sequence chunk. Sequence files never overlap per sensor (the watermark
-  // enforces strictly increasing time ranges, and flush seals one
-  // survivor per timestamp). With pruning metadata the guard sharpens: an
-  // unsequence file disqualifies only when it actually holds points of
-  // this sensor inside the range (a non-overlapping one cannot shadow
-  // anything the aggregate sees); with pruning disabled the guard stays
-  // maximally conservative. Working-table points in range shadow too.
+  // Stage 1 — plan: consistent snapshot and footer pruning (the same
+  // TakeSnapshot and PruneFiles as Query).
   WallTimer plan_timer;
   ReadSnapshot snap;
   TakeSnapshot(sensor, t_min, t_max, /*want_points=*/true, &snap);
   std::vector<ChunkRef> chunks;
   uint64_t pruned = 0;
   Status st = PruneFiles(snap, sensor, t_min, t_max, &chunks, &pruned);
-  if (!st.ok()) {
-    ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
-    return st;
-  }
-  const bool prune = shared.options.enable_file_pruning;
-  bool fast_ok =
-      snap.working_unseq.points.empty() && snap.working_seq.points.empty();
-  for (const SealedFileRef& file : snap.files) {
-    if (file->unsequence() && !prune) fast_ok = false;
-  }
-  for (const ChunkRef& chunk : chunks) {
-    if (chunk.file->unsequence()) fast_ok = false;
-  }
-  for (const auto& table : snap.flushing) {
-    if (!fast_ok) break;
-    std::unique_lock<std::mutex> table_lock(table->mu());
-    const DoubleTVList* list = table->GetChunk(snap.sid);
-    fast_ok = list == nullptr || list->size() == 0 ||
-              list->max_time() < t_min || list->min_time() > t_max;
-  }
-
-  if (!fast_ok) {
-    // Tier 3 — some source can shadow the sealed chunks (working or
-    // flushing memtable points in range, or an overlapping unsequence
-    // file): the last-write-wins merge folds every survivor, holding one
-    // page per sealed chunk and no point vector. Decode stage = opening
-    // the merge sources; merge stage = draining the fold.
-    ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
-    shared.agg_stats_misses.fetch_add(1, std::memory_order_relaxed);
-    WallTimer decode_timer;
-    MergeCursor cursor(t_min, t_max);
-    st = AddSources(sensor, t_min, t_max, chunks, &snap, &cursor);
-    ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
-    if (!st.ok()) return st;
-    WallTimer merge_timer;
-    // Same NaN contract as the statistics tiers (see RangeStats).
-    st = cursor.ForEach(shared.options.dedup_on_query,
-                        [stats](Timestamp t, double v) { stats->Fold(t, v); });
-    ah.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
-    if (!st.ok()) {
-      *stats = TsFileReader::RangeStats{};  // no partial aggregate on error
-      return st;
-    }
-    if (peak_resident_points != nullptr) {
-      *peak_resident_points = cursor.peak_resident_points();
-    }
-    return Status::OK();
-  }
-
-  // Per-chunk plan over the unshadowed sequence chunks. `partials` is
-  // indexed by chunk position (file order) so the final combine runs in
-  // file order whatever order the tiers complete in — the floating-point
-  // sum is deterministic for a given file set.
-  std::vector<TsFileReader::RangeStats> partials(chunks.size());
-  std::vector<size_t> decode;  // tier-2 chunk positions
-  uint64_t hits = 0;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkLocator& locator = chunks[i].locator;
-    if (locator.points == 0 || locator.max_t < t_min ||
-        locator.min_t > t_max) {
-      continue;  // nothing of this sensor in range
-    }
-    if (locator.min_t >= t_min && locator.max_t <= t_max &&
-        locator.stats_usable()) {
-      // Tier 1 — the chunk is fully covered and unshadowed: the footer
-      // statistics ARE the chunk's aggregate; no byte of it is read.
-      TsFileReader::RangeStats& part = partials[i];
-      part.count = locator.points;
-      part.min = locator.min_v;
-      part.max = locator.max_v;
-      part.sum = locator.sum_v;
-      part.first = locator.first_v;
-      part.first_time = locator.min_t;
-      part.last = locator.last_v;
-      part.last_time = locator.max_t;
-      ++hits;
-      continue;
-    }
-    // Tier 2 — partial range overlap or a stat-less (BSTF1) footer: the
-    // page-level aggregation folds interior pages from the page index's
-    // statistics and decodes only boundary pages.
-    decode.push_back(i);
-  }
   ah.plan.Record(static_cast<uint64_t>(plan_timer.ElapsedNanos()));
-  if (hits > 0) {
-    shared.agg_stats_hits.fetch_add(hits, std::memory_order_relaxed);
-  }
-  if (!decode.empty()) {
-    shared.agg_stats_misses.fetch_add(decode.size(),
-                                      std::memory_order_relaxed);
-  }
+  if (!st.ok()) return st;
 
-  // Stage 2 — stats: nothing left to do for tier-1 chunks (their partials
-  // were filled from the footer during planning); the stage records the
-  // (near-zero) bookkeeping cost so the exposition shows where time does
-  // NOT go.
-  WallTimer stats_timer;
-  ah.stats.Record(static_cast<uint64_t>(stats_timer.ElapsedNanos()));
-
-  // Stage 3 — decode: the tier-2 chunk aggregations, one after another.
-  // Each reads its chunk's page index and only the pages its range needs
-  // decoded, through the chunk cache.
+  // Stage 2 — decode: open the merge sources with statistics enabled.
+  // Chunks the range covers enter on their footer statistics without a
+  // byte read; the others open their page index and first in-range page;
+  // memtable copies are sorted.
   WallTimer decode_timer;
-  for (const size_t i : decode) {
-    ChunkPages pages;
-    st = chunks[i].file->Pages(sensor, chunks[i].locator, &pages);
-    if (st.ok()) st = pages.Aggregate(t_min, t_max, &partials[i]);
-    if (!st.ok()) break;
-  }
+  MergeCursor cursor(t_min, t_max);
+  cursor.EnableStats();
+  st = AddSources(sensor, t_min, t_max, chunks, &snap, &cursor);
   ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
-  if (!st.ok()) {
-    *stats = TsFileReader::RangeStats{};  // no partial aggregate on error
-    return st;
-  }
+  if (!st.ok()) return st;
 
-  // Stage 4 — merge: combine the per-chunk partials in file order.
+  // Stage 3 — merge: the last-write-wins merge folds every survivor,
+  // folding whole chunks and pages from their statistics where no other
+  // source touches their span and decoding the rest page by page.
   WallTimer merge_timer;
-  for (const TsFileReader::RangeStats& part : partials) {
-    CombineRangeStats(part, stats);
+  st = cursor.Aggregate(shared.options.dedup_on_query, stats);
+  const auto merge_ns = static_cast<uint64_t>(merge_timer.ElapsedNanos());
+  ah.merge.Record(merge_ns);
+  // Stage 4 — stats: the same drain recorded again when it was answered
+  // from statistics alone (no page or memtable point read).
+  if (st.ok() && cursor.stats_hits() > 0 && cursor.pages_read() == 0 &&
+      !cursor.merged()) {
+    ah.stats.Record(merge_ns);
   }
-  ah.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
-  if (used_fast_path != nullptr) *used_fast_path = true;
+  shared.agg_stats_hits.fetch_add(cursor.stats_hits(),
+                                  std::memory_order_relaxed);
+  shared.agg_stats_misses.fetch_add(cursor.pages_read(),
+                                    std::memory_order_relaxed);
+  if (!st.ok()) return st;
+  if (used_fast_path != nullptr) {
+    *used_fast_path = !cursor.merged();
+  }
+  if (peak_resident_points != nullptr) {
+    *peak_resident_points = cursor.peak_resident_points();
+  }
   return Status::OK();
 }
 
@@ -1043,7 +943,6 @@ void EngineShard::RecoverReplayRecord(const WalRecord& r) {
       (flags_[sid] & kHasWatermark) == 0 || r.t > states_[sid].watermark;
   MemTable* target = sequence ? working_seq_.get() : working_unseq_.get();
   target->Write(sid, interner_.NameOf(sid), r.t, r.v);
-  approx_working_points_.fetch_add(1, std::memory_order_relaxed);
   RecoverLastCache(r.sensor, r.t, r.v);
 }
 

@@ -75,7 +75,7 @@ struct QueryPathHistograms {
   }
 };
 
-/// Aggregation-path latency histograms, one per stage of the three-tier
+/// Aggregation-path latency histograms, one per stage of the
 /// AggregateFast plan (see AggregateStageSnapshots for stage semantics).
 /// Shared by every shard; recording is lock-free.
 struct AggregatePathHistograms {
@@ -152,8 +152,8 @@ struct EngineSharedState {
   AggregatePathHistograms agg_histograms;
 
   /// Aggregation counters (relaxed, same contract as above): AggregateFast
-  /// calls, chunks answered from footer statistics alone, and chunks that
-  /// needed a decoding tier.
+  /// calls, chunks and pages folded from their statistics, and pages read
+  /// and merged point by point.
   std::atomic<uint64_t> agg_requests{0};
   std::atomic<uint64_t> agg_stats_hits{0};
   std::atomic<uint64_t> agg_stats_misses{0};
@@ -271,9 +271,9 @@ class EngineShard {
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
-  /// `peak_resident_points` (optional): the decoded points the tier-3
-  /// merge held at its peak (MergeCursor::peak_resident_points); 0 when
-  /// tiers 1-2 answered.
+  /// `peak_resident_points` (optional): the decoded points the merge held
+  /// at its peak (MergeCursor::peak_resident_points); 0 when only
+  /// statistics were folded.
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
                        Timestamp t_max, TsFileReader::RangeStats* stats,
                        bool* used_fast_path,
@@ -296,12 +296,6 @@ class EngineShard {
 
   FlushMetrics GetFlushMetrics() const;
   ShardMetricsSnapshot Snapshot() const;
-
-  /// Lock-free estimate of points buffered in the working memtables, for
-  /// the facade's cross-shard flush-trigger and metrics decisions.
-  size_t ApproxWorkingPoints() const {
-    return approx_working_points_.load(std::memory_order_relaxed);
-  }
 
   // --- recovery hooks -------------------------------------------------------
   // Called by the facade during Open, strictly before any concurrency
@@ -402,7 +396,7 @@ class EngineShard {
   /// Adds every merge source to `cursor` in write-recency order —
   /// `chunks`, then the flushing tables (copied under their table locks),
   /// then the working unsequence and sequence copies. Shared by Query and
-  /// tier-3 AggregateFast; runs without mu_.
+  /// AggregateFast; runs without mu_.
   Status AddSources(const std::string& sensor, Timestamp t_min,
                     Timestamp t_max, const std::vector<ChunkRef>& chunks,
                     ReadSnapshot* snap, MergeCursor* cursor);
@@ -521,7 +515,6 @@ class EngineShard {
   size_t trace_next_ = 0;
 
   std::vector<SealedFileRef> sealed_files_;
-  std::atomic<size_t> approx_working_points_{0};
 };
 
 }  // namespace backsort

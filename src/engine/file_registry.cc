@@ -80,12 +80,4 @@ Status SealedFileMeta::Handle(std::shared_ptr<const FileHandle>* out) const {
   return Status::OK();
 }
 
-Status SealedFileMeta::Pages(const std::string& sensor,
-                             const ChunkLocator& locator,
-                             ChunkPages* out) const {
-  std::shared_ptr<const FileHandle> file;
-  RETURN_NOT_OK(Handle(&file));
-  return ChunkPages::Open(std::move(file), sensor, locator, cache_, out);
-}
-
 }  // namespace backsort

@@ -83,12 +83,6 @@ class SealedFileMeta {
   /// The file's pread handle, opened on first use. Thread-safe.
   Status Handle(std::shared_ptr<const FileHandle>* out) const;
 
-  /// Page reader over `sensor`'s chunk (`locator` from Footer()) through
-  /// the engine's chunk cache: page index and decoded pages are cache
-  /// entries under this file's path.
-  Status Pages(const std::string& sensor, const ChunkLocator& locator,
-               ChunkPages* out) const;
-
   /// Flags the file for deletion once the last ref drops. Called by
   /// compaction after the replacement file is published.
   void MarkObsolete() { obsolete_.store(true, std::memory_order_release); }

@@ -122,26 +122,23 @@ class StorageEngine {
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
 
   /// Aggregation with statistics pushdown (count/sum/min/max/first/last
-  /// over [t_min, t_max]), planned in three tiers per chunk. Tier 1:
-  /// sequence chunks fully inside the range whose footers carry value
-  /// statistics (BSTF2) answer from metadata alone — no chunk byte is
-  /// read. Tier 2: partially covered (or stat-less BSTF1) chunks run a
-  /// page-level partial aggregation that folds interior pages from the
-  /// page index and decodes only boundary pages, chunk after chunk. Both
-  /// tiers are only sound when no data source can shadow another
-  /// (duplicate timestamps are resolved last-write-wins by Query), so any
-  /// in-memory points or overlapping unsequence file in range drops the
-  /// whole call to tier 3 — the same last-write-wins MergeCursor as Query,
-  /// folding each survivor with no point vector. `peak_resident_points`
-  /// (optional) reports the decoded points that merge held at its peak
-  /// (0 when tiers 1-2 answered): one page per sealed chunk plus the
-  /// memtable copies, whatever the range size.
-  /// `used_fast_path` reports true when no tier-3 source existed; results
-  /// are identical either way (sums may differ in floating-point
-  /// rounding, matching per-chunk fold order). An empty range (t_max <
-  /// t_min, or no source overlapping) returns count == 0 without
-  /// scanning. NaN values are excluded from min/max/sum but counted and
-  /// eligible as first/last (docs/DESIGN.md §16).
+  /// over [t_min, t_max]), in one plan: the same last-write-wins
+  /// MergeCursor as Query, folding each survivor with no point vector,
+  /// with a statistics fold. A chunk the range covers whose footer
+  /// carries usable statistics (BSTF2) enters keyed on them without a
+  /// byte read, and a covered page of such a chunk without being fetched;
+  /// either folds whole when no other source (sealed chunk or memtable
+  /// copy) has a point in its time span, and is read and merged point by
+  /// point otherwise. So sparse late points cost only the pages they land
+  /// in. `peak_resident_points` (optional) reports the decoded points the
+  /// merge held at its peak: at most one page per sealed chunk plus the
+  /// memtable copies, whatever the range size. `used_fast_path` reports
+  /// true when no memtable point was in range and no page was merged
+  /// against another source; results are identical either way (sums may
+  /// differ in floating-point rounding with the fold order). An empty
+  /// range (t_max < t_min, or no source overlapping) returns count == 0
+  /// without scanning. NaN values are excluded from min/max/sum but
+  /// counted and eligible as first/last (docs/DESIGN.md §16).
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
                        Timestamp t_max, TsFileReader::RangeStats* stats,
                        bool* used_fast_path = nullptr,

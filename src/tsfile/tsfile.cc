@@ -702,34 +702,26 @@ Status ChunkPages::Aggregate(Timestamp t_min, Timestamp t_max,
                              RangeStats* stats, size_t* pages_skipped) const {
   *stats = RangeStats{};
   if (pages_skipped != nullptr) *pages_skipped = 0;
+  // Pages are time-ordered: the overlapping ones are one span. Its first
+  // and last pages are decoded so first/last are exact; partially covered
+  // and NaN-poisoned pages are decoded for filtering; interior covered
+  // pages fold from their statistics once a point has been folded.
   const std::vector<PageLocator>& pages = index_->pages;
-  auto overlaps = [&](const PageLocator& m) {
-    return m.max_t >= t_min && m.min_t <= t_max;
-  };
-  // The first and last contributing pages are decoded so first/last are
-  // exact; partially covered pages are decoded for filtering; interior
-  // fully covered pages fold from their statistics.
-  size_t first = pages.size(), last = 0;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    if (!overlaps(pages[p])) continue;
-    if (first == pages.size()) first = p;
-    last = p;
-  }
+  const auto first = std::partition_point(
+      pages.begin(), pages.end(),
+      [&](const PageLocator& m) { return m.max_t < t_min; });
+  const auto last = std::partition_point(
+      first, pages.end(),
+      [&](const PageLocator& m) { return m.min_t <= t_max; });
   std::shared_ptr<const DecodedPage> page;
-  for (size_t p = first; p < pages.size() && p <= last; ++p) {
-    const PageLocator& m = pages[p];
-    if (!overlaps(m)) continue;
-    const bool fully_inside = m.min_t >= t_min && m.max_t <= t_max;
-    if (fully_inside && p != first && p != last && stats->count > 0 &&
-        m.stats_usable()) {
-      stats->min = std::min(stats->min, m.min_v);
-      stats->max = std::max(stats->max, m.max_v);
-      stats->sum += m.sum_v;
-      stats->count += m.count;
+  for (auto m = first; m != last; ++m) {
+    if (m != first && m + 1 != last && stats->count > 0 &&
+        m->min_t >= t_min && m->max_t <= t_max && m->stats_usable()) {
+      stats->FoldPage(*m);
       if (pages_skipped != nullptr) ++(*pages_skipped);
       continue;
     }
-    RETURN_NOT_OK(Page(p, &page));
+    RETURN_NOT_OK(Page(static_cast<size_t>(m - pages.begin()), &page));
     for (size_t i = 0; i < page->ts.size(); ++i) {
       if (page->ts[i] >= t_min && page->ts[i] <= t_max) {
         stats->Fold(page->ts[i], page->values[i]);
@@ -737,26 +729,6 @@ Status ChunkPages::Aggregate(Timestamp t_min, Timestamp t_max,
     }
   }
   return Status::OK();
-}
-
-void CombineRangeStats(const RangeStats& part, RangeStats* into) {
-  if (part.count == 0) return;
-  if (into->count == 0) {
-    *into = part;
-    return;
-  }
-  into->min = std::min(into->min, part.min);
-  into->max = std::max(into->max, part.max);
-  into->sum += part.sum;
-  into->count += part.count;
-  if (part.first_time < into->first_time) {
-    into->first_time = part.first_time;
-    into->first = part.first;
-  }
-  if (part.last_time > into->last_time) {
-    into->last_time = part.last_time;
-    into->last = part.last;
-  }
 }
 
 // --- reader -----------------------------------------------------------------

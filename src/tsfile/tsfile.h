@@ -248,8 +248,7 @@ class TsFileWriter {
 // chunk's page index (parsed by the one page-header parser), and a decode
 // of exactly the pages a time range overlaps. ChunkPages ties these to an
 // optional ChunkCache; TsFileReader, the engine's MergeCursor (Query,
-// tier-3 aggregates, compaction), tier-2 aggregates and recovery all read
-// through it.
+// AggregateFast, compaction) and recovery all read through it.
 
 /// Read-only handle on one sealed file, read by offset with pread(2): it
 /// has no file position, so one handle serves concurrent readers.
@@ -317,14 +316,41 @@ struct RangeStats {
     last = v;
     last_time = t;
   }
-};
 
-/// Merges the partial aggregate `part` into `*into`. Partials must come
-/// from duplicate-free sources (the engine guarantees sequence chunks are
-/// mutually disjoint per sensor): counts and sums add, min/max combine,
-/// first/last resolve by timestamp. A partial with count == 0 is a no-op;
-/// so is merging into an empty `*into` except that `part` is copied in.
-void CombineRangeStats(const RangeStats& part, RangeStats* into);
+  /// Folds a whole chunk from its footer statistics (`c.stats_usable()`);
+  /// the chunk sorts after every point folded so far. Footer min/max/sum
+  /// exclude NaN and first/last are raw, so the contract above holds.
+  void FoldChunk(const ChunkLocator& c) {
+    if (count == 0) {
+      first = c.first_v;
+      first_time = c.min_t;
+    }
+    FoldValues(c.points, c.min_v, c.max_v, c.sum_v, c.max_t);
+    last = c.last_v;
+  }
+
+  /// Folds a page from its header statistics (`p.stats_usable()`); the
+  /// page sorts after every point folded so far. A page header carries no
+  /// first or last value: count must already be > 0, and `last` is left
+  /// for the caller to read from the page when it stays the last one.
+  void FoldPage(const PageLocator& p) {
+    FoldValues(p.count, p.min_v, p.max_v, p.sum_v, p.max_t);
+  }
+
+ private:
+  void FoldValues(uint64_t n, double lo, double hi, double total,
+                  Timestamp end) {
+    if (count == 0) {
+      min = std::numeric_limits<double>::infinity();
+      max = -std::numeric_limits<double>::infinity();
+    }
+    min = std::min(min, lo);
+    max = std::max(max, hi);
+    sum += total;
+    count += n;
+    last_time = end;
+  }
+};
 
 /// One double chunk's pages: the file handle, the chunk's page index and
 /// an optional ChunkCache through which the index and decoded pages are
@@ -360,7 +386,9 @@ class ChunkPages {
   /// first and last contributing pages, partially covered pages and pages
   /// with NaN-poisoned statistics are decoded and filtered. `pages_skipped`
   /// (optional) counts pages served from statistics. Resets `*stats`;
-  /// count == 0 means nothing matched.
+  /// count == 0 means nothing matched. The standalone reader's aggregate
+  /// (TsFileReader::AggregateRangeF64); the engine folds statistics inside
+  /// its merge instead (MergeCursor::Aggregate).
   Status Aggregate(Timestamp t_min, Timestamp t_max, RangeStats* stats,
                    size_t* pages_skipped = nullptr) const;
 

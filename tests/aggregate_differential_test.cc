@@ -150,6 +150,15 @@ class AggregateDifferentialTest : public ::testing::Test {
       ranges.emplace_back(std::min(a, b), std::max(a, b));
     }
 
+    ExpectMatchesBruteForce(engine.get(), ts, vs, ranges, tag);
+  }
+
+  // AggregateFast against the brute-force reference over every range.
+  static void ExpectMatchesBruteForce(
+      StorageEngine* engine, const std::vector<Timestamp>& ts,
+      const std::vector<double>& vs,
+      const std::vector<std::pair<Timestamp, Timestamp>>& ranges,
+      const std::string& tag) {
     for (const auto& [t_min, t_max] : ranges) {
       const RefAgg want = BruteForce(ts, vs, t_min, t_max);
       TsFileReader::RangeStats got;
@@ -227,6 +236,59 @@ TEST_F(AggregateDifferentialTest, InMemoryTailForcesExactMergeTier) {
   AbsNormalDelay delay(1.0, 25.0);
   RunWorkload("tier3", delay, /*footer_stats=*/true,
               /*leave_tail_in_memory=*/true, 7);
+}
+
+// The paper's steady state under late arrivals: compacted sequence files,
+// then one sparse unsequence file whose late points fill holes between
+// sequence points, plus one true rewrite of a sealed timestamp. Pages and
+// chunks no late point touches fold from their statistics; only the pages
+// a late point lands in (and first/last contributors) are decoded.
+TEST_F(AggregateDifferentialTest, SparseLateArrivalsFoldUntouchedPages) {
+  const size_t n = 40'000;
+  auto engine = MakeEngine("sparse_late", /*footer_stats=*/true,
+                           SorterId::kBackward);
+  std::vector<Timestamp> ts;
+  std::vector<double> vs;
+  auto write = [&](Timestamp t, double v) {
+    ts.push_back(t);
+    vs.push_back(v);
+    ASSERT_TRUE(engine->Write("s", t, v).ok());
+  };
+  // In order, with a hole at every t % 50 == 25.
+  for (Timestamp t = 0; t < static_cast<Timestamp>(n); ++t) {
+    if (t % 50 == 25) continue;
+    write(t, SignalValueAt(static_cast<size_t>(t)));
+  }
+  ASSERT_TRUE(engine->FlushAll().ok());
+  ASSERT_TRUE(engine->Compact().ok());
+  // Late points into every 80th hole (one per 4000 times), and one
+  // rewrite of a sealed point: all below the watermark, so unsequence.
+  for (Timestamp t = 1'025; t < static_cast<Timestamp>(n); t += 4'000) {
+    write(t, -1.0 - static_cast<double>(t));
+  }
+  write(12'345, 1e6);
+  ASSERT_TRUE(engine->FlushAll().ok());
+  ASSERT_GE(engine->sealed_file_count(), 2u);
+
+  Rng rng(17);
+  std::vector<std::pair<Timestamp, Timestamp>> ranges = {
+      {0, static_cast<Timestamp>(n - 1)}};
+  for (int i = 0; i < 16; ++i) {
+    const Timestamp a = static_cast<Timestamp>(rng.NextBelow(n));
+    const Timestamp b = static_cast<Timestamp>(rng.NextBelow(n));
+    ranges.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  // Pages the ranges cover: at least their points over the page size.
+  const size_t page = EngineOptions().points_per_page;
+  size_t covered = 0;
+  for (const auto& [lo, hi] : ranges) {
+    covered += BruteForce(ts, vs, lo, hi).count / page;
+  }
+  const EngineMetricsSnapshot before = engine->GetMetricsSnapshot();
+  ExpectMatchesBruteForce(engine.get(), ts, vs, ranges, "sparse_late");
+  const EngineMetricsSnapshot after = engine->GetMetricsSnapshot();
+  EXPECT_GT(after.agg_stats_hits - before.agg_stats_hits, 0u);
+  EXPECT_LT(after.agg_stats_misses - before.agg_stats_misses, covered);
 }
 
 // A workload flushed without footer statistics (the seed BSTF1 format) and

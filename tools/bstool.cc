@@ -23,8 +23,8 @@
 //       Drive a multi-threaded write-only workload into a (possibly
 //       sharded) storage engine under <dir> and print aggregate write
 //       throughput, per-shard flush metrics, stage latency percentiles
-//       and the aggregate stats-hit rate (chunks answered from footer
-//       statistics vs decoded).
+//       and the aggregate stats-hit rate (chunks and pages folded from
+//       their statistics vs pages read).
 //       --chunk-cache-bytes sizes the shared chunk cache (0 disables it;
 //       unset = $BACKSORT_CHUNK_CACHE_BYTES or the 64 MiB default).
 //       --no-footer-stats writes stat-less BSTF1 footers (the legacy
@@ -557,15 +557,17 @@ int CmdIngest(int argc, char** argv) {
               lookups == 0 ? 0.0 : 100.0 * double(cache.hits) / double(lookups),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(lookups));
-  // Aggregation plan effectiveness: how many chunks answered from footer
-  // statistics alone vs falling to decode (pure-write runs report 0/0).
-  const uint64_t agg_chunks = snap.agg_stats_hits + snap.agg_stats_misses;
+  // Aggregation plan effectiveness: chunks and pages folded from their
+  // statistics vs pages read and merged point by point (pure-write runs
+  // report 0/0).
+  const uint64_t agg_units = snap.agg_stats_hits + snap.agg_stats_misses;
   std::printf("footer stats: %s; aggregate stats-hit rate %.1f%% "
-              "(%llu hits / %llu misses over %llu requests)\n",
+              "(%llu chunks+pages folded / %llu pages read over %llu "
+              "requests)\n",
               footer_stats ? "on" : "off (--no-footer-stats)",
-              agg_chunks == 0
+              agg_units == 0
                   ? 0.0
-                  : 100.0 * double(snap.agg_stats_hits) / double(agg_chunks),
+                  : 100.0 * double(snap.agg_stats_hits) / double(agg_units),
               static_cast<unsigned long long>(snap.agg_stats_hits),
               static_cast<unsigned long long>(snap.agg_stats_misses),
               static_cast<unsigned long long>(snap.agg_requests));

@@ -39,7 +39,7 @@
 #      plan beating the decode fallback by >= 3.0x on full-coverage
 #      ranges (BENCH_system_agg.json "stats_agg_speedup", best of three;
 #      the committed full-scale reference in bench/baselines/ measures
-#      >500x)
+#      ~3000x)
 #  10. cluster: the WAL-tailer and cluster suites under ThreadSanitizer,
 #      then a real 2-node cluster smoke — two bstool serve processes in
 #      a replication ring, ingest through the routing client, wait for
@@ -59,7 +59,8 @@
 #      the tsfile, read-path, compaction and merge-cursor suites (page
 #      offsets from file headers and pread buffers, including the
 #      hostile-chunk table; the loser tree's block pointers into shared
-#      pages), then a scaled 100k-
+#      pages), and the aggregate and aggregate-differential suites (pages
+#      the statistics fold fetches lazily), then a scaled 100k-
 #      sensor bench/system_cardinality run gated on idle heap staying
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -306,7 +307,7 @@ cmake --build build-tsan -j --target aggregate_differential_test
 # fallback by >= 3.0x on full-coverage ranges. Best of three — on a small
 # box one preempted warm-up can deflate a run, but a real regression
 # (stats not written, plan not engaging) drags every attempt to ~1x. The
-# committed full-scale reference (bench/baselines/) measures >500x.
+# committed full-scale reference (bench/baselines/) measures ~3000x.
 agg_speedup=""
 for attempt in 1 2 3; do
   BACKSORT_SYSTEM_POINTS=60000 BACKSORT_AGG_ITERS=50 \
@@ -460,17 +461,22 @@ echo "=== [11/11] cardinality + page reads: ASan suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # the page reader indexes pread buffers with offsets parsed from file
-# headers, and the merge cursor walks raw pointers into shared pages. Run
+# headers, and the merge cursor walks raw pointers into shared pages and
+# fetches statistics-keyed pages lazily, so the aggregate suites hold page
+# blocks whose shared_ptr lifetimes outlast the page that keyed them. Run
 # their suites under AddressSanitizer to keep them honest.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test tsfile_test \
-  read_path_test compaction_test merge_cursor_test
+  read_path_test compaction_test merge_cursor_test aggregate_test \
+  aggregate_differential_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/tsfile_test
 ./build-asan/tests/read_path_test
 ./build-asan/tests/compaction_test
 ./build-asan/tests/merge_cursor_test
+./build-asan/tests/aggregate_test
+./build-asan/tests/aggregate_differential_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
